@@ -287,6 +287,7 @@ class BlobReader {
     return true;
   }
   bool AtEnd() const { return pos_ == blob_.size(); }
+  size_t remaining() const { return blob_.size() - pos_; }
 
  private:
   std::string_view blob_;
@@ -711,6 +712,11 @@ Result<RidSet> RidSet::DeserializeBlob(std::string_view blob) {
   uint32_t num_containers = 0;
   if (!reader.U32(&num_containers)) {
     return Status::Corruption("ridset blob: truncated container count");
+  }
+  // Every container has a 13-byte header (key, type, cardinality): bound
+  // the count before reserving for it.
+  if (num_containers > reader.remaining() / 13) {
+    return Status::Corruption("ridset blob: container count exceeds blob");
   }
   RidSet out;
   out.containers_.reserve(num_containers);

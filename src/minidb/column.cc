@@ -6,6 +6,25 @@ void Column::EnsureValidity() {
   if (valid_.empty()) valid_.assign(size_, 1);
 }
 
+void Column::Reserve(size_t n) {
+  switch (type_) {
+    case ValueType::kInt64:
+      ints_.reserve(ints_.size() + n);
+      break;
+    case ValueType::kDouble:
+      doubles_.reserve(doubles_.size() + n);
+      break;
+    case ValueType::kString:
+      strings_.reserve(strings_.size() + n);
+      break;
+    case ValueType::kIntArray:
+      arrays_.reserve(arrays_.size() + n);
+      break;
+    case ValueType::kNull:
+      break;
+  }
+}
+
 void Column::AppendNull() {
   EnsureValidity();
   switch (type_) {
@@ -82,8 +101,7 @@ Value Column::GetValue(size_t i) const {
 
 void Column::SetValue(size_t i, const Value& v) {
   if (v.is_null()) {
-    EnsureValidity();
-    valid_[i] = 0;
+    SetNull(i);
     return;
   }
   if (!valid_.empty()) valid_[i] = 1;

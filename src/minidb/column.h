@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,9 +58,29 @@ class Column {
     NoteValidAppend();
   }
 
+  /// Bulk-append `n` int64 (or double) cells copied from `src`, which holds
+  /// them in native byte order and need not be aligned.
+  void AppendInts(const void* src, size_t n) {
+    assert(type_ == ValueType::kInt64);
+    AppendRaw(&ints_, src, n);
+  }
+  void AppendDoubles(const void* src, size_t n) {
+    assert(type_ == ValueType::kDouble);
+    AppendRaw(&doubles_, src, n);
+  }
+
+  /// Reserve room for `n` more cells.
+  void Reserve(size_t n);
+
   /// Append a NULL cell (records a validity hole; the physical slot holds a
   /// zero value).
   void AppendNull();
+
+  /// Mark cell `i` NULL (its physical slot keeps its value).
+  void SetNull(size_t i) {
+    EnsureValidity();
+    valid_[i] = 0;
+  }
 
   /// Append `v`, which must match the column type or be null.
   void AppendValue(const Value& v);
@@ -110,8 +131,9 @@ class Column {
   /// their packed chunk bytes).
   uint64_t StorageBytes() const;
 
-  /// Direct access to the integer payload for tight scan loops.
+  /// Direct access to the numeric payloads for tight loops.
   const std::vector<int64_t>& int_data() const { return ints_; }
+  const std::vector<double>& double_data() const { return doubles_; }
 
   /// Widen the column to a more general type (paper Sec. 4.3: e.g. integer
   /// -> decimal). Supported: int64 -> double, int64/double -> string.
@@ -139,6 +161,15 @@ class Column {
   }
 
   void EnsureValidity();
+
+  template <typename T>
+  void AppendRaw(std::vector<T>* data, const void* src, size_t n) {
+    const size_t old = data->size();
+    data->resize(old + n);
+    if (n > 0) std::memcpy(data->data() + old, src, n * sizeof(T));
+    size_ += n;
+    if (!valid_.empty()) valid_.resize(size_, 1);
+  }
 
   // Keep the lazily-allocated validity bitmap in sync on non-null appends.
   void NoteValidAppend() {

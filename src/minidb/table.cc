@@ -19,6 +19,30 @@ Table::Table(std::string name, Schema schema)
   }
 }
 
+Result<Table> Table::FromColumns(std::string name, Schema schema,
+                                 std::vector<Column> columns) {
+  if (columns.size() != schema.num_columns()) {
+    return Status::InvalidArgument(
+        StrFormat("%zu columns for a %zu-column schema", columns.size(),
+                  schema.num_columns()));
+  }
+  const size_t num_rows = columns.empty() ? 0 : columns[0].size();
+  for (size_t c = 0; c < columns.size(); ++c) {
+    if (columns[c].type() != schema.column(c).type ||
+        columns[c].size() != num_rows) {
+      return Status::InvalidArgument(StrFormat(
+          "column %s does not fit the schema (%s, %zu rows)",
+          schema.column(c).name.c_str(), ValueTypeName(columns[c].type()),
+          columns[c].size()));
+    }
+  }
+  Table table(std::move(name), std::move(schema));
+  table.columns_ = std::move(columns);
+  table.num_rows_ = num_rows;
+  ORPHEUS_COUNTER_ADD("minidb.rows_appended", num_rows);
+  return table;
+}
+
 Status Table::InsertRow(const Row& row) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(

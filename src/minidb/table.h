@@ -28,6 +28,12 @@ class Table {
  public:
   Table(std::string name, Schema schema);
 
+  /// A table over already-filled columns, one per schema column with its
+  /// type and all of one length (the bulk path of decoders). InvalidArgument
+  /// when they do not fit the schema.
+  static Result<Table> FromColumns(std::string name, Schema schema,
+                                   std::vector<Column> columns);
+
   // Movable, not copyable (copies are explicit via CopyRows/Clone).
   Table(Table&&) = default;
   Table& operator=(Table&&) = default;

@@ -250,10 +250,10 @@ Result<minidb::Table> Client::Checkout(
   req.vids = vids;
   req.table_name = table_name;
   ORPHEUS_ASSIGN_OR_RETURN(Response resp, Call(std::move(req)));
-  if (resp.table == nullptr) {
+  if (resp.decoded_table == nullptr) {
     return Status::Internal("checkout response carries no table");
   }
-  return std::move(*resp.table);
+  return std::move(*resp.decoded_table);
 }
 
 Result<session::CommitOutcome> Client::Commit(uint64_t sid,
@@ -266,7 +266,7 @@ Result<session::CommitOutcome> Client::Commit(uint64_t sid,
   req.table_name = table.name();
   req.message = message;
   req.author = author;
-  req.table = std::make_unique<minidb::Table>(table.Clone(table.name()));
+  req.table = &table;  // encoded in place on every attempt, never copied
   // A commit whose previous call died with the outcome unknown is retried
   // under its ORIGINAL stamp: the server either replays the recorded
   // verdict or resumes the parked durability wait — never commits twice.

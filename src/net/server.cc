@@ -325,9 +325,10 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
           false);
       break;
   }
-  ReleaseSession(rs);
-
+  // Encode while the session is still claimed: a checkout reply reads the
+  // session's staged table in place instead of a private copy.
   std::string encoded = EncodeResponse(resp);
+  ReleaseSession(rs);
   // A commit's FINAL verdict (success or definitive error) enters the
   // replay window; a durability timeout does not — the retry must resume
   // the parked wait, not replay the "try again" answer forever.
@@ -457,9 +458,9 @@ Response SessionServer::HandleCheckout(RemoteSession* rs,
     resp.SetStatus(s, false);
     return resp;
   }
-  const minidb::Table* table = session->table(req.table_name);
-  resp.table =
-      std::make_unique<minidb::Table>(table->Clone(table->name()));
+  // Borrowed, not copied: Dispatch encodes the reply before it releases
+  // the session, and only the claiming thread touches its staging area.
+  resp.table = session->table(req.table_name);
   return resp;
 }
 
@@ -499,14 +500,14 @@ Response SessionServer::HandleCommit(RemoteSession* rs, Request* req) {
     }
     resumed = true;  // retry of the timed-out commit: resume the wait
   } else {
-    if (req->table == nullptr) {
+    if (req->decoded_table == nullptr) {
       resp.SetStatus(
           Status::InvalidArgument("commit request carries no table"),
           false);
       return resp;
     }
     Status staged =
-        session->ReplaceStaging(table_name, std::move(*req->table));
+        session->ReplaceStaging(table_name, std::move(*req->decoded_table));
     if (!staged.ok()) {
       resp.SetStatus(staged, false);
       return resp;

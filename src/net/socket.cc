@@ -6,9 +6,11 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -169,18 +171,20 @@ void Socket::ShutdownBoth() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-Status Socket::SendAll(std::string_view data, const Deadline& deadline) {
+Status Socket::SendAll(std::string_view head, std::string_view body,
+                       const Deadline& deadline) {
   if (fd_ < 0) return Status::Unavailable("send on closed socket");
   const bool client = peer_ == Peer::kClient;
+  const size_t total = head.size() + body.size();
 
   // Torn-frame injection: push half the bytes for real, then fail — the
   // peer sees a frame that stops mid-payload, exactly like a crash between
   // two TCP segments.
-  size_t limit = data.size();
+  size_t limit = total;
   bool tear = false;
   if (auto s = HitNetFailpoint(client ? "net.client.send.partial"
                                       : "net.server.send.partial")) {
-    limit = data.size() / 2;
+    limit = total / 2;
     tear = true;
     (void)s;
   } else if (auto fault =
@@ -191,8 +195,23 @@ Status Socket::SendAll(std::string_view data, const Deadline& deadline) {
 
   size_t sent = 0;
   while (sent < limit) {
-    const ssize_t n = ::send(fd_, data.data() + sent, limit - sent,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    // The unsent remainder of [head | body], cut at `limit`.
+    iovec iov[2];
+    int iovcnt = 0;
+    size_t want = limit - sent;
+    if (sent < head.size()) {
+      const size_t n = std::min(head.size() - sent, want);
+      iov[iovcnt++] = {const_cast<char*>(head.data() + sent), n};
+      want -= n;
+    }
+    if (want > 0) {
+      const size_t offset = sent > head.size() ? sent - head.size() : 0;
+      iov[iovcnt++] = {const_cast<char*>(body.data() + offset), want};
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;

@@ -51,9 +51,11 @@ class Socket {
   /// Closes.
   void ShutdownBoth();
 
-  /// Write all of `data`, waiting (bounded by `deadline`) whenever the
-  /// kernel buffer is full.
-  Status SendAll(std::string_view data, const Deadline& deadline);
+  /// Write all of `head` then all of `body` with gather writes (neither is
+  /// copied), waiting (bounded by `deadline`) whenever the kernel buffer is
+  /// full.
+  Status SendAll(std::string_view head, std::string_view body,
+                 const Deadline& deadline);
 
   /// Read exactly `n` bytes into `buf`. EOF or reset mid-read is
   /// Unavailable. `*received` (optional) reports bytes consumed so far on

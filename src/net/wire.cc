@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "common/string_util.h"
@@ -78,7 +80,8 @@ Result<session::CommitOutcome> DecodeOutcome(Decoder* dec) {
   ORPHEUS_ASSIGN_OR_RETURN(out.reconciled_with, dec->GetI32());
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t reconciled, dec->GetU8());
   out.reconciled = reconciled != 0;
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  // A conflict is at least its five string lengths.
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount(5 * sizeof(uint32_t)));
   out.conflicts.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(session::MergeConflict c, DecodeConflict(dec));
@@ -159,49 +162,204 @@ Result<HelloAck> DecodeHelloAck(std::string_view payload) {
 // Table codec
 // ---------------------------------------------------------------------------
 
+namespace {
+
+using minidb::Column;
+using minidb::ValueType;
+
+static_assert(std::endian::native == std::endian::little,
+              "numeric columns cross the wire as raw little-endian arrays");
+
+/// Fewest payload bits one row costs in a column of `type` (a NULL-typed
+/// column carries only its validity bit).
+uint64_t MinBitsPerRow(ValueType type) {
+  switch (type) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return 64;
+    case ValueType::kString:
+      return 32;  // u32 length
+    case ValueType::kIntArray:
+      return 40;  // rid-list tag + u32 count or blob length
+  }
+  return 1;
+}
+
+void EncodeColumn(const Column& col, size_t nrows, Encoder* enc) {
+  enc->PutU8(static_cast<uint8_t>(col.type()));
+  bool has_nulls = false;
+  for (size_t r = 0; r < nrows && !has_nulls; ++r) has_nulls = col.IsNull(r);
+  enc->PutU8(has_nulls ? 1 : 0);
+  if (has_nulls) {
+    std::string validity((nrows + 7) / 8, '\0');
+    for (size_t r = 0; r < nrows; ++r) {
+      if (!col.IsNull(r)) validity[r / 8] |= static_cast<char>(1 << (r % 8));
+    }
+    enc->PutBytes(validity.data(), validity.size());
+  }
+  switch (col.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      enc->PutBytes(col.int_data().data(), nrows * sizeof(int64_t));
+      break;
+    case ValueType::kDouble:
+      enc->PutBytes(col.double_data().data(), nrows * sizeof(double));
+      break;
+    case ValueType::kString:
+      for (size_t r = 0; r < nrows; ++r) {
+        enc->PutU32(static_cast<uint32_t>(col.GetString(r).size()));
+      }
+      for (size_t r = 0; r < nrows; ++r) {
+        const std::string& v = col.GetString(r);
+        enc->PutBytes(v.data(), v.size());
+      }
+      break;
+    case ValueType::kIntArray:
+      for (size_t r = 0; r < nrows; ++r) {
+        if (col.IsNull(r)) {
+          storage::EncodeRidList({}, enc);
+        } else {
+          storage::EncodeIntArray(col.GetValue(r), enc);
+        }
+      }
+      break;
+  }
+}
+
+Result<Column> DecodeColumn(ValueType type, uint32_t nrows, Decoder* dec) {
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
+  if (tag != static_cast<uint8_t>(type)) {
+    return Status::DataLoss(StrFormat(
+        "column section typed %u where the schema says %u", tag,
+        static_cast<unsigned>(type)));
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_nulls, dec->GetU8());
+  if (has_nulls > 1 || (type == ValueType::kNull && !has_nulls && nrows > 0)) {
+    return Status::DataLoss(StrFormat("bad validity flag %u", has_nulls));
+  }
+  std::string_view validity;
+  if (has_nulls) {
+    ORPHEUS_ASSIGN_OR_RETURN(validity, dec->GetBytes((nrows + 7) / 8));
+  }
+  Column col(type);
+  col.Reserve(nrows);
+  switch (type) {
+    case ValueType::kNull:
+      for (uint32_t r = 0; r < nrows; ++r) col.AppendNull();
+      return col;
+    case ValueType::kInt64: {
+      ORPHEUS_ASSIGN_OR_RETURN(std::string_view raw,
+                               dec->GetBytes(nrows * sizeof(int64_t)));
+      col.AppendInts(raw.data(), nrows);
+      break;
+    }
+    case ValueType::kDouble: {
+      ORPHEUS_ASSIGN_OR_RETURN(std::string_view raw,
+                               dec->GetBytes(nrows * sizeof(double)));
+      col.AppendDoubles(raw.data(), nrows);
+      break;
+    }
+    case ValueType::kString: {
+      ORPHEUS_ASSIGN_OR_RETURN(std::string_view lengths,
+                               dec->GetBytes(nrows * sizeof(uint32_t)));
+      std::vector<uint32_t> lens(nrows);
+      if (nrows > 0) std::memcpy(lens.data(), lengths.data(), lengths.size());
+      uint64_t total = 0;
+      for (uint32_t len : lens) total += len;
+      if (total > dec->remaining()) {
+        return Status::DataLoss(StrFormat(
+            "string column claims %llu bytes, %zu available",
+            static_cast<unsigned long long>(total), dec->remaining()));
+      }
+      ORPHEUS_ASSIGN_OR_RETURN(std::string_view bytes, dec->GetBytes(total));
+      size_t offset = 0;
+      for (uint32_t len : lens) {
+        col.AppendString(std::string(bytes.substr(offset, len)));
+        offset += len;
+      }
+      break;
+    }
+    case ValueType::kIntArray:
+      for (uint32_t r = 0; r < nrows; ++r) {
+        ORPHEUS_ASSIGN_OR_RETURN(minidb::Value v, storage::DecodeIntArray(dec));
+        col.AppendValue(v);
+      }
+      break;
+  }
+  for (uint32_t r = 0; r < nrows && has_nulls; ++r) {
+    if ((static_cast<uint8_t>(validity[r / 8]) >> (r % 8) & 1) == 0) {
+      col.SetNull(r);
+    }
+  }
+  return col;
+}
+
+}  // namespace
+
 void EncodeTable(const minidb::Table& table, storage::Encoder* enc) {
-  enc->PutString(table.name());
   const minidb::Schema& schema = table.schema();
+  const size_t nrows = table.num_rows();
+  enc->PutString(table.name());
   enc->PutU32(static_cast<uint32_t>(schema.num_columns()));
   for (const minidb::ColumnDef& col : schema.columns()) {
     enc->PutString(col.name);
     enc->PutU8(static_cast<uint8_t>(col.type));
   }
-  enc->PutU32(static_cast<uint32_t>(table.num_rows()));
-  for (uint32_t r = 0; r < table.num_rows(); ++r) {
-    const minidb::Row row = table.GetRow(r);
-    for (const minidb::Value& value : row) {
-      storage::EncodeValue(value, enc);
-    }
+  enc->PutU32(static_cast<uint32_t>(nrows));
+  uint64_t min_bits = 0;
+  for (const minidb::ColumnDef& col : schema.columns()) {
+    min_bits += MinBitsPerRow(col.type);
+  }
+  enc->Reserve(min_bits * nrows / 8 + 2 * schema.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    EncodeColumn(table.column(c), nrows, enc);
   }
 }
 
 Result<minidb::Table> DecodeTable(storage::Decoder* dec) {
   ORPHEUS_ASSIGN_OR_RETURN(std::string name, dec->GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetU32());
+  // A column costs at least its name length, type and section header.
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t ncols, dec->GetCount(7));
   std::vector<minidb::ColumnDef> cols;
   cols.reserve(ncols);
+  uint64_t min_bits = 0;
   for (uint32_t c = 0; c < ncols; ++c) {
     minidb::ColumnDef col;
     ORPHEUS_ASSIGN_OR_RETURN(col.name, dec->GetString());
     ORPHEUS_ASSIGN_OR_RETURN(uint8_t type, dec->GetU8());
-    if (type > static_cast<uint8_t>(minidb::ValueType::kIntArray)) {
+    if (type > static_cast<uint8_t>(ValueType::kIntArray)) {
       return Status::DataLoss(
           StrFormat("bad column type %u on the wire", type));
     }
-    col.type = static_cast<minidb::ValueType>(type);
+    col.type = static_cast<ValueType>(type);
+    min_bits += MinBitsPerRow(col.type);
     cols.push_back(std::move(col));
   }
+  // Bound the claimed row count by the bytes that could hold it before
+  // allocating anything for it.
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t nrows, dec->GetU32());
-  minidb::Table table(name, minidb::Schema(std::move(cols)));
-  minidb::Row row(table.num_columns());
-  for (uint32_t r = 0; r < nrows; ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      ORPHEUS_ASSIGN_OR_RETURN(row[c], storage::DecodeValue(dec));
-    }
-    table.AppendRowUnchecked(row);
+  if (ncols == 0 && nrows > 0) {
+    return Status::DataLoss(
+        StrFormat("table with no columns claims %u rows", nrows));
   }
-  return table;
+  if (ncols > 0 && nrows > 8 * static_cast<uint64_t>(dec->remaining()) /
+                               min_bits) {
+    return Status::DataLoss(StrFormat(
+        "table claims %u rows of at least %llu bits, %zu bytes left", nrows,
+        static_cast<unsigned long long>(min_bits), dec->remaining()));
+  }
+  std::vector<Column> columns;
+  columns.reserve(ncols);
+  for (const minidb::ColumnDef& col : cols) {
+    ORPHEUS_ASSIGN_OR_RETURN(Column column, DecodeColumn(col.type, nrows, dec));
+    columns.push_back(std::move(column));
+  }
+  return minidb::Table::FromColumns(std::move(name),
+                                    minidb::Schema(std::move(cols)),
+                                    std::move(columns));
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +399,7 @@ Result<Request> DecodeRequest(std::string_view payload) {
   ORPHEUS_ASSIGN_OR_RETURN(req.deadline_ms, dec.GetI64());
   ORPHEUS_ASSIGN_OR_RETURN(req.cvd, dec.GetString());
   ORPHEUS_ASSIGN_OR_RETURN(req.table_name, dec.GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t nvids, dec.GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t nvids, dec.GetCount(sizeof(int32_t)));
   req.vids.reserve(nvids);
   for (uint32_t i = 0; i < nvids; ++i) {
     ORPHEUS_ASSIGN_OR_RETURN(core::VersionId vid, dec.GetI32());
@@ -252,7 +410,8 @@ Result<Request> DecodeRequest(std::string_view payload) {
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_table, dec.GetU8());
   if (has_table != 0) {
     ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
-    req.table = std::make_unique<minidb::Table>(std::move(table));
+    req.decoded_table = std::make_unique<minidb::Table>(std::move(table));
+    req.table = req.decoded_table.get();
   }
   return req;
 }
@@ -321,7 +480,8 @@ Result<Response> DecodeResponse(std::string_view payload) {
     }
     case Op::kCheckout: {
       ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
-      resp.table = std::make_unique<minidb::Table>(std::move(table));
+      resp.decoded_table = std::make_unique<minidb::Table>(std::move(table));
+      resp.table = resp.decoded_table.get();
       break;
     }
     case Op::kCommit: {
@@ -333,7 +493,8 @@ Result<Response> DecodeResponse(std::string_view payload) {
       break;
     }
     case Op::kLs: {
-      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec.GetU32());
+      // A summary is at least a name length, three i32 and a flag.
+      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount(17));
       resp.cvds.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
         CvdSummary c;
@@ -363,32 +524,33 @@ Result<Response> DecodeResponse(std::string_view payload) {
 
 Status SendMessage(Socket* sock, MsgType type, std::string_view payload,
                    const Deadline& deadline) {
-  std::string frame;
-  storage::AppendFrame(&frame,
-                       static_cast<storage::FrameType>(
-                           static_cast<uint8_t>(type)),
-                       payload);
-  return sock->SendAll(frame, deadline);
+  // Header and payload leave in one gather write: the payload is sent
+  // from the caller's buffer, never copied into a frame.
+  return sock->SendAll(
+      storage::FrameHeader(static_cast<uint8_t>(type), payload), payload,
+      deadline);
 }
 
 Status RecvMessage(Socket* sock, MsgType* type, std::string* payload,
                    const Deadline& idle_deadline) {
-  // The 8-byte length+crc prefix, read under the idle deadline. A timeout
-  // with ZERO bytes consumed leaves the stream frame-aligned (retryable);
-  // any partial read means we are desynced mid-frame.
-  std::string buf(storage::kFrameHeaderSize - 1, '\0');
+  // The 9-byte header (length | crc | type), read under the idle deadline.
+  // A timeout with ZERO bytes consumed leaves the stream frame-aligned
+  // (retryable); any partial read means we are desynced mid-frame.
+  char header[storage::kFrameHeaderSize];
   size_t received = 0;
-  Status s = sock->RecvAll(buf.data(), buf.size(), idle_deadline, &received);
+  Status s = sock->RecvAll(header, sizeof(header), idle_deadline, &received);
   if (!s.ok()) {
     if (s.IsDeadlineExceeded() && received > 0) {
       return Status::Unavailable(StrFormat(
           "frame torn: %zu of %zu header bytes before the deadline",
-          received, buf.size()));
+          received, sizeof(header)));
     }
     return s;
   }
-  storage::Decoder header(buf);
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t payload_size, header.GetU32());
+  storage::Decoder fields(std::string_view(header, sizeof(header)));
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t payload_size, fields.GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t stored_crc, fields.GetU32());
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t raw_type, fields.GetU8());
   if (payload_size > kMaxFramePayload) {
     return Status::Unavailable(StrFormat(
         "frame claims %u payload bytes (cap %u) — corrupt stream",
@@ -396,33 +558,25 @@ Status RecvMessage(Socket* sock, MsgType* type, std::string* payload,
   }
   // Once a frame has started, finish it under a generous fixed bound so a
   // stalled peer cannot park us forever, while a briefly-slow large frame
-  // still completes.
+  // still completes. The body lands directly in the caller's buffer.
   const Deadline body_deadline = Deadline::AfterMillis(10000);
-  std::string rest(1 + static_cast<size_t>(payload_size), '\0');
-  s = sock->RecvAll(rest.data(), rest.size(), body_deadline, &received);
+  payload->resize(payload_size);
+  s = sock->RecvAll(payload->data(), payload_size, body_deadline, &received);
   if (!s.ok()) {
     if (s.IsDeadlineExceeded()) {
       return Status::Unavailable(StrFormat(
-          "frame torn: %zu of %zu body bytes before the deadline", received,
-          rest.size()));
+          "frame torn: %zu of %u body bytes before the deadline", received,
+          payload_size));
     }
     return s;
   }
-  // Reassemble and parse with the storage frame reader — the same
-  // torn/corrupt classification the WAL uses. A "torn tail" here cannot
-  // happen (we read the exact length), so any checksum failure surfaces
-  // as corruption, which on a stream means a retryable transport fault.
-  buf.append(rest);
-  size_t pos = 0;
-  storage::Frame frame;
-  bool torn = false;
-  s = storage::ReadFrame(buf, 0, &pos, &frame, &torn);
-  if (!s.ok() || torn) {
+  // We read the exact length, so a checksum failure cannot be a torn tail:
+  // on a stream it means mangled bytes, a retryable transport fault.
+  if (storage::FrameChecksum(raw_type, *payload) != stored_crc) {
     return Status::Unavailable(StrFormat(
-        "corrupt frame on the wire: %s",
-        s.ok() ? "torn" : std::string(s.message()).c_str()));
+        "corrupt frame on the wire: checksum mismatch (%u-byte payload)",
+        payload_size));
   }
-  const uint8_t raw_type = static_cast<uint8_t>(frame.type);
   if (raw_type < static_cast<uint8_t>(MsgType::kHello) ||
       raw_type > static_cast<uint8_t>(MsgType::kResponse)) {
     return Status::Unavailable(StrFormat(
@@ -430,7 +584,6 @@ Status RecvMessage(Socket* sock, MsgType* type, std::string* payload,
         raw_type));
   }
   *type = static_cast<MsgType>(raw_type);
-  payload->assign(frame.payload);
   return Status::OK();
 }
 

@@ -21,9 +21,10 @@ namespace orpheus::net {
 /// The orpheusd wire protocol (DESIGN.md §14). Every message is ONE frame
 /// in the storage/format.h layout —
 ///   u32 payload_size | u32 crc32c(type byte + payload) | u8 type | payload
-/// — written and parsed by the same AppendFrame/ReadFrame primitives the
-/// WAL uses, so a torn or corrupted frame is detected exactly like a torn
-/// WAL tail. Net message types live in a disjoint range (>= 32) from the
+/// — with the header built by the same FrameHeader/FrameChecksum primitives
+/// the WAL uses. A frame is sent as a gather write of header and payload
+/// and received straight into the caller's buffer, so the payload is never
+/// copied on either side. Net message types live in a disjoint range (>= 32) from the
 /// storage FrameTypes (1..5): feeding a WAL at the server, or a snapshot
 /// at a client, fails loudly on the first frame.
 ///
@@ -36,7 +37,8 @@ namespace orpheus::net {
 /// window (DESIGN.md §14.4).
 
 inline constexpr char kNetMagic[9] = "ORPHNET1";  // 8 bytes + NUL
-inline constexpr uint32_t kProtocolVersion = 1;
+/// v2: tables travel columnar (DESIGN.md §14.1); v1 peers are refused.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Upper bound on one frame's payload; a stream claiming more is treated
 /// as corrupt rather than trusted with an allocation.
@@ -94,9 +96,11 @@ struct Request {
   std::vector<core::VersionId> vids;  // kCheckout
   std::string message;                // kCommit
   std::string author;                 // kCommit
-  // kCommit: the staged table (unique_ptr: Table is move-only and Request
-  // wants to stay movable through std::function-free code paths).
-  std::unique_ptr<minidb::Table> table;
+  // kCommit: the staged table. Encoding reads `table`, which the sender
+  // keeps alive through the encode (it is not copied); decoding allocates
+  // the table into `decoded_table` and points `table` at it.
+  const minidb::Table* table = nullptr;
+  std::unique_ptr<minidb::Table> decoded_table;
 };
 
 /// One served CVD, for kLs.
@@ -117,7 +121,10 @@ struct Response {
   Op op = Op::kOpen;
   uint64_t sid = 0;                          // kOpen
   core::VersionId watermark = 0;             // kOpen / kRefresh
-  std::unique_ptr<minidb::Table> table;      // kCheckout
+  // kCheckout: the table, borrowed for encoding and owned when decoded,
+  // exactly as Request::table / Request::decoded_table.
+  const minidb::Table* table = nullptr;
+  std::unique_ptr<minidb::Table> decoded_table;
   session::CommitOutcome outcome;            // kCommit
   std::vector<CvdSummary> cvds;              // kLs
   int64_t lease_ms = 0;                      // kHeartbeat
@@ -145,8 +152,11 @@ Result<Request> DecodeRequest(std::string_view payload);
 std::string EncodeResponse(const Response& resp);
 Result<Response> DecodeResponse(std::string_view payload);
 
-/// Table codec: schema (column name + ValueType) then row-major values via
-/// the storage EncodeValue/DecodeValue primitives.
+/// Columnar table codec (DESIGN.md §14.1): the schema and row count, then
+/// one section per column — numeric columns as raw little-endian arrays,
+/// strings as a length array plus bytes, int arrays as rid-list payloads.
+/// DecodeTable refuses (DataLoss) a row count the remaining bytes cannot
+/// hold, so a short hostile payload cannot claim a huge table.
 void EncodeTable(const minidb::Table& table, storage::Encoder* enc);
 Result<minidb::Table> DecodeTable(storage::Decoder* dec);
 

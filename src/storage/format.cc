@@ -1,7 +1,6 @@
 #include "storage/format.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -10,32 +9,6 @@
 #include "common/string_util.h"
 
 namespace orpheus::storage {
-
-namespace {
-
-std::array<uint32_t, 256> MakeCrc32cTable() {
-  std::array<uint32_t, 256> table{};
-  constexpr uint32_t kPoly = 0x82F63B78;  // reflected Castagnoli polynomial
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-}  // namespace
-
-uint32_t Crc32c(std::string_view data) {
-  static const std::array<uint32_t, 256> kTable = MakeCrc32cTable();
-  uint32_t crc = 0xFFFFFFFF;
-  for (unsigned char c : data) {
-    crc = (crc >> 8) ^ kTable[(crc ^ c) & 0xFF];
-  }
-  return crc ^ 0xFFFFFFFF;
-}
 
 uint32_t HeaderCrc(std::string_view magic, uint32_t version, uint64_t seq) {
   Encoder enc;
@@ -127,6 +100,27 @@ Result<double> Decoder::GetDouble() {
   return v;
 }
 
+Result<uint32_t> Decoder::GetCount(size_t min_elem_bytes) {
+  const uint64_t offset = base_ + pos_;
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, GetU32());
+  if (static_cast<uint64_t>(n) * min_elem_bytes > data_.size() - pos_) {
+    return Status::DataLoss(StrFormat(
+        "count %u at offset %llu needs at least %llu bytes, %zu available", n,
+        static_cast<unsigned long long>(offset),
+        static_cast<unsigned long long>(static_cast<uint64_t>(n) *
+                                        min_elem_bytes),
+        data_.size() - pos_));
+  }
+  return n;
+}
+
+Result<std::string_view> Decoder::GetBytes(size_t n) {
+  if (data_.size() - pos_ < n) return Truncated("bytes", n);
+  std::string_view bytes = data_.substr(pos_, n);
+  pos_ += n;
+  return bytes;
+}
+
 Result<std::string> Decoder::GetString() {
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t len, GetU32());
   if (data_.size() - pos_ < len) return Truncated("string payload", len);
@@ -139,16 +133,23 @@ Result<std::string> Decoder::GetString() {
 // Frames
 // ---------------------------------------------------------------------------
 
-void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
+uint32_t FrameChecksum(uint8_t type, std::string_view payload) {
+  const char type_byte = static_cast<char>(type);
+  return Crc32cExtend(Crc32c(std::string_view(&type_byte, 1)), payload);
+}
+
+std::string FrameHeader(uint8_t type, std::string_view payload) {
   Encoder header;
   header.PutU32(static_cast<uint32_t>(payload.size()));
-  std::string checked;
-  checked.reserve(1 + payload.size());
-  checked.push_back(static_cast<char>(type));
-  checked.append(payload.data(), payload.size());
-  header.PutU32(Crc32c(checked));
-  out->append(header.data());
-  out->append(checked);
+  header.PutU32(FrameChecksum(type, payload));
+  header.PutU8(type);
+  return header.Take();
+}
+
+void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
+  out->reserve(out->size() + kFrameHeaderSize + payload.size());
+  out->append(FrameHeader(static_cast<uint8_t>(type), payload));
+  out->append(payload.data(), payload.size());
 }
 
 Status ReadFrame(std::string_view data, uint64_t base_offset, size_t* pos,
@@ -207,20 +208,23 @@ void EncodeValue(const minidb::Value& value, Encoder* enc) {
     case minidb::ValueType::kString:
       enc->PutString(value.AsString());
       break;
-    case minidb::ValueType::kIntArray: {
-      // Already-compressed cells serialize their canonical containers
-      // directly; plain vectors go through EncodeRidList, which rebuilds
-      // the same canonical form when eligible. Either way the bytes are a
-      // function of the list contents alone.
-      if (const auto* set = value.TryRidSet();
-          set && (*set)->size() >= RidSet::kMinCompressElems) {
-        enc->PutU8(1);
-        enc->PutString((*set)->SerializeBlob());
-      } else {
-        EncodeRidList(value.AsIntArray(), enc);
-      }
+    case minidb::ValueType::kIntArray:
+      EncodeIntArray(value, enc);
       break;
-    }
+  }
+}
+
+void EncodeIntArray(const minidb::Value& value, Encoder* enc) {
+  // Already-compressed cells serialize their canonical containers
+  // directly; plain vectors go through EncodeRidList, which rebuilds the
+  // same canonical form when eligible. Either way the bytes are a function
+  // of the list contents alone.
+  if (const auto* set = value.TryRidSet();
+      set && (*set)->size() >= RidSet::kMinCompressElems) {
+    enc->PutU8(1);
+    enc->PutString((*set)->SerializeBlob());
+  } else {
+    EncodeRidList(value.AsIntArray(), enc);
   }
 }
 
@@ -241,39 +245,50 @@ Result<minidb::Value> DecodeValue(Decoder* dec) {
       ORPHEUS_ASSIGN_OR_RETURN(std::string v, dec->GetString());
       return minidb::Value(std::move(v));
     }
-    case minidb::ValueType::kIntArray: {
-      // Peek the rid-list tag: packed blobs become compressed cells without
-      // a decompression round-trip when the gate is on.
-      const uint64_t tag_offset = dec->file_offset();
-      ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
-      if (packed == 1) {
-        ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
-        ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
-        if (RidSetEnabled()) {
-          return minidb::Value(
-              std::make_shared<const RidSet>(std::move(set)));
-        }
-        return minidb::Value(set.ToVector());
-      }
-      if (packed != 0) {
-        return Status::DataLoss(StrFormat(
-            "unknown rid-list tag %d at offset %llu",
-            static_cast<int>(packed),
-            static_cast<unsigned long long>(tag_offset)));
-      }
-      ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-      std::vector<int64_t> arr;
-      arr.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        ORPHEUS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
-        arr.push_back(v);
-      }
-      return minidb::Value(std::move(arr));
-    }
+    case minidb::ValueType::kIntArray:
+      return DecodeIntArray(dec);
   }
   return Status::DataLoss(StrFormat(
       "unknown value type tag %d at offset %llu", static_cast<int>(tag),
       static_cast<unsigned long long>(dec->file_offset())));
+}
+
+namespace {
+
+/// The raw rid-list body: u32 count, then that many i64.
+Result<std::vector<int64_t>> GetRawRids(Decoder* dec) {
+  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount(sizeof(int64_t)));
+  std::vector<int64_t> rids;
+  rids.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ORPHEUS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
+    rids.push_back(v);
+  }
+  return rids;
+}
+
+}  // namespace
+
+Result<minidb::Value> DecodeIntArray(Decoder* dec) {
+  // Peek the rid-list tag: packed blobs become compressed cells without a
+  // decompression round-trip when the gate is on.
+  const uint64_t tag_offset = dec->file_offset();
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
+  if (packed == 1) {
+    ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
+    ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
+    if (RidSetEnabled()) {
+      return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
+    }
+    return minidb::Value(set.ToVector());
+  }
+  if (packed != 0) {
+    return Status::DataLoss(StrFormat(
+        "unknown rid-list tag %d at offset %llu", static_cast<int>(packed),
+        static_cast<unsigned long long>(tag_offset)));
+  }
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> arr, GetRawRids(dec));
+  return minidb::Value(std::move(arr));
 }
 
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc) {
@@ -300,14 +315,7 @@ Result<std::vector<int64_t>> DecodeRidList(Decoder* dec) {
         "unknown rid-list tag %d at offset %llu", static_cast<int>(tag),
         static_cast<unsigned long long>(tag_offset)));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-  std::vector<int64_t> rids;
-  rids.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ORPHEUS_ASSIGN_OR_RETURN(int64_t v, dec->GetI64());
-    rids.push_back(v);
-  }
-  return rids;
+  return GetRawRids(dec);
 }
 
 // ---------------------------------------------------------------------------

@@ -34,9 +34,15 @@ inline constexpr uint32_t kFormatVersion = 3;
 /// Oldest format version the readers still understand.
 inline constexpr uint32_t kMinFormatVersion = 2;
 
-/// CRC32C (Castagnoli, the checksum RocksDB/ext4/iSCSI use), software
-/// table-driven. Crc32c("123456789") == 0xE3069283.
+/// CRC32C (Castagnoli, the checksum RocksDB/ext4/iSCSI use).
+/// Crc32c("123456789") == 0xE3069283. Computed with the SSE4.2 `crc32`
+/// instruction when the CPU has it, else a slicing-by-8 table kernel
+/// (storage/crc32c.cc); both produce the same values.
 uint32_t Crc32c(std::string_view data);
+
+/// Continue a checksum over more bytes: Crc32cExtend(Crc32c(a), b) ==
+/// Crc32c(a + b), and Crc32cExtend(0, a) == Crc32c(a).
+uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
 
 /// Checksum of a snapshot/WAL file header (magic | version | seq). Stored
 /// in the header's formerly-reserved u32 at v3+, so a bit flip anywhere in
@@ -58,6 +64,12 @@ class Encoder {
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
   void PutDouble(double v);
   void PutString(std::string_view s);
+  /// Append raw bytes (no length prefix).
+  void PutBytes(const void* data, size_t n) {
+    buf_.append(static_cast<const char*>(data), n);
+  }
+  /// Grow the buffer's capacity for `n` more bytes.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -81,7 +93,14 @@ class Decoder {
   Result<int32_t> GetI32();
   Result<double> GetDouble();
   Result<std::string> GetString();
+  /// A u32 element count, refused (DataLoss) when `count * min_elem_bytes`
+  /// exceeds the bytes left — so a corrupt count cannot drive a huge
+  /// allocation before the truncation is noticed.
+  Result<uint32_t> GetCount(size_t min_elem_bytes);
+  /// The next `n` raw bytes, as a view into the decoded buffer.
+  Result<std::string_view> GetBytes(size_t n);
 
+  size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t pos() const { return pos_; }
   uint64_t file_offset() const { return base_ + pos_; }
@@ -109,6 +128,12 @@ enum class FrameType : uint8_t {
 /// Wire layout of one frame:
 ///   u32 payload_size | u32 crc32c(type byte + payload) | u8 type | payload
 inline constexpr size_t kFrameHeaderSize = 9;
+
+/// The checksum a frame header carries: crc32c(type byte + payload).
+uint32_t FrameChecksum(uint8_t type, std::string_view payload);
+
+/// The kFrameHeaderSize-byte header of a frame carrying `payload`.
+std::string FrameHeader(uint8_t type, std::string_view payload);
 
 void AppendFrame(std::string* out, FrameType type, std::string_view payload);
 
@@ -149,6 +174,13 @@ Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
 
 void EncodeValue(const minidb::Value& value, Encoder* enc);
 Result<minidb::Value> DecodeValue(Decoder* dec);
+
+/// A kIntArray value without EncodeValue's type tag: the rid-list payload
+/// below, with compressed cells written from their packed form directly.
+/// Decoding yields a compressed cell for packed blobs when the RidSet gate
+/// is on.
+void EncodeIntArray(const minidb::Value& value, Encoder* enc);
+Result<minidb::Value> DecodeIntArray(Decoder* dec);
 
 /// Rid-list payload: u8 tag — 0 = raw (u32 count + i64 each, the defensive
 /// encoding for short or non-sorted-unique lists), 1 = packed RidSet chunk

@@ -154,7 +154,7 @@ TEST_F(NetTest, RequestRoundtripWithTable) {
   Table staged("w", Schema({{"id", ValueType::kInt64},
                             {"name", ValueType::kString}}));
   ORPHEUS_CHECK_OK(staged.InsertRow({Value(int64_t{5}), Value("five")}));
-  req.table = std::make_unique<Table>(std::move(staged));
+  req.table = &staged;
 
   auto decoded = DecodeRequest(EncodeRequest(req));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -259,59 +259,217 @@ TEST_F(NetTest, DecodeRejectsTruncatedPayload) {
   }
 }
 
+/// One column of every ValueType, a NULL in each, an empty string, and
+/// both a plain (short, unsorted) and a packed (compressed) int array.
+Table EveryTypeTable() {
+  Table t("every", Schema({{"n", ValueType::kNull},
+                           {"i", ValueType::kInt64},
+                           {"d", ValueType::kDouble},
+                           {"s", ValueType::kString},
+                           {"a", ValueType::kIntArray}}));
+  std::vector<int64_t> packed(40);
+  for (size_t i = 0; i < packed.size(); ++i) packed[i] = 3 * i + 1;
+  ORPHEUS_CHECK_OK(t.InsertRow({Value::Null(), Value(int64_t{-7}),
+                                Value(2.5), Value(""),
+                                Value(std::vector<int64_t>{9, 3, 5})}));
+  ORPHEUS_CHECK_OK(t.InsertRow({Value::Null(), Value::Null(), Value::Null(),
+                                Value::Null(), Value::Null()}));
+  ORPHEUS_CHECK_OK(t.InsertRow({Value::Null(), Value(int64_t{1} << 62),
+                                Value(-0.125), Value("hello"),
+                                Value(packed)}));
+  ORPHEUS_CHECK_OK(t.InsertRow({Value::Null(), Value(int64_t{0}),
+                                Value(1e300), Value(std::string("a\0b", 3)),
+                                Value(std::vector<int64_t>{})}));
+  return t;
+}
+
+/// Cell-for-cell equality, including which cells are NULL.
+void ExpectSameTable(const Table& a, const Table& b) {
+  ASSERT_EQ(a.name(), b.name());
+  ASSERT_TRUE(a.schema() == b.schema())
+      << a.schema().ToString() << " vs " << b.schema().ToString();
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    for (uint32_t r = 0; r < a.num_rows(); ++r) {
+      EXPECT_EQ(a.column(c).IsNull(r), b.column(c).IsNull(r))
+          << "row " << r << " column " << c;
+      EXPECT_TRUE(a.GetValue(r, c) == b.GetValue(r, c))
+          << "row " << r << " column " << c << ": "
+          << a.GetValue(r, c).ToString() << " vs "
+          << b.GetValue(r, c).ToString();
+    }
+  }
+}
+
+Result<Table> TableRoundTrip(const Table& table) {
+  storage::Encoder enc;
+  EncodeTable(table, &enc);
+  storage::Decoder dec(enc.data());
+  ORPHEUS_ASSIGN_OR_RETURN(Table out, DecodeTable(&dec));
+  if (!dec.AtEnd()) return Status::Internal("trailing bytes after table");
+  return out;
+}
+
+TEST_F(NetTest, TableCodecRoundTripsEveryType) {
+  const Table table = EveryTypeTable();
+  ASSERT_NE(table.column(4).GetRidSet(2), nullptr) << "packed cell expected";
+  ASSERT_EQ(table.column(4).GetRidSet(0), nullptr) << "plain cell expected";
+  auto decoded = TableRoundTrip(table);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameTable(table, decoded.ValueOrDie());
+  EXPECT_NE(decoded.ValueOrDie().column(4).GetRidSet(2), nullptr);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    EXPECT_TRUE(decoded.ValueOrDie().column(c).IsNull(1)) << "column " << c;
+  }
+
+  Table empty("empty", table.schema());
+  auto decoded_empty = TableRoundTrip(empty);
+  ASSERT_TRUE(decoded_empty.ok()) << decoded_empty.status().ToString();
+  ExpectSameTable(empty, decoded_empty.ValueOrDie());
+}
+
+TEST_F(NetTest, DecodeTableBoundsClaimedRowCount) {
+  // name "t", zero columns, then a row count: 13 bytes claiming 50M rows
+  // (or 2^32 - 1) must not decode into a giant zero-width table.
+  for (uint32_t nrows : {50000000u, 0xFFFFFFFFu}) {
+    storage::Encoder enc;
+    enc.PutString("t");
+    enc.PutU32(0);
+    enc.PutU32(nrows);
+    ASSERT_EQ(enc.data().size(), 13u);
+    storage::Decoder dec(enc.data());
+    Timer timer;
+    auto decoded = DecodeTable(&dec);
+    EXPECT_LT(timer.ElapsedMillis(), 100.0);
+    ASSERT_FALSE(decoded.ok()) << nrows << " rows accepted";
+    EXPECT_TRUE(decoded.status().IsDataLoss())
+        << decoded.status().ToString();
+  }
+  // One int64 column cannot hold more rows than its bytes allow.
+  storage::Encoder enc;
+  enc.PutString("t");
+  enc.PutU32(1);
+  enc.PutString("x");
+  enc.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  enc.PutU32(1000);
+  enc.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  enc.PutU8(0);
+  for (int i = 0; i < 999; ++i) enc.PutI64(i);
+  storage::Decoder dec(enc.data());
+  auto decoded = DecodeTable(&dec);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsDataLoss()) << decoded.status().ToString();
+}
+
+/// A decoded message either failed or carries a well-formed table: every
+/// column as long as the table and typed as its schema says, every cell
+/// readable and NULL exactly where its validity says.
+void ExpectWellFormed(const Table* table) {
+  if (table == nullptr) return;
+  for (size_t c = 0; c < table->num_columns(); ++c) {
+    ASSERT_EQ(table->column(c).size(), table->num_rows());
+    ASSERT_EQ(table->column(c).type(), table->schema().column(c).type);
+    for (uint32_t r = 0; r < table->num_rows(); ++r) {
+      EXPECT_EQ(table->GetValue(r, c).is_null(), table->column(c).IsNull(r));
+    }
+  }
+}
+
+/// Decode every truncation of `encoded` and every single-byte flip of its
+/// bytes from `table_start` on: none may crash, hang or yield a malformed
+/// table.
+template <typename Decode>
+void SweepCutsAndFlips(const std::string& encoded, size_t table_start,
+                       Decode decode) {
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    auto decoded = decode(std::string_view(encoded).substr(0, cut));
+    EXPECT_FALSE(decoded.ok()) << "decoded a message cut to " << cut;
+  }
+  std::string mutated = encoded;
+  for (size_t pos = table_start; pos < encoded.size(); ++pos) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      mutated[pos] = static_cast<char>(encoded[pos] ^ mask);
+      auto decoded = decode(mutated);
+      if (decoded.ok()) ExpectWellFormed(decoded.ValueOrDie().table);
+      mutated[pos] = encoded[pos];
+    }
+  }
+}
+
+TEST_F(NetTest, DecodeSurvivesEveryCutAndFlipOfTableMessages) {
+  const Table table = EveryTypeTable();
+  storage::Encoder table_enc;
+  EncodeTable(table, &table_enc);
+  const size_t table_size = table_enc.data().size();
+
+  Request req;
+  req.op = Op::kCommit;
+  req.request_seq = 5;
+  req.sid = 2;
+  req.table_name = "every";
+  req.message = "m";
+  req.table = &table;
+  const std::string request = EncodeRequest(req);
+  SweepCutsAndFlips(request, request.size() - table_size,
+                    [](std::string_view b) { return DecodeRequest(b); });
+
+  Response resp;
+  resp.op = Op::kCheckout;
+  resp.request_seq = 5;
+  resp.table = &table;
+  const std::string response = EncodeResponse(resp);
+  SweepCutsAndFlips(response, response.size() - table_size,
+                    [](std::string_view b) { return DecodeResponse(b); });
+}
+
 // ---------------------------------------------------------------------------
 // Handshake
 // ---------------------------------------------------------------------------
 
-TEST_F(NetTest, HandshakeRejectsVersionMismatch) {
+/// Send one Hello to a fresh server and return its HelloAck.
+HelloAck HandshakeWith(const std::string& magic, uint32_t version,
+                       const std::string& client_uuid) {
   ServerOptions options;
   options.listen = "unix:" + MakeTempDir() + "/sock";
   auto server = StartMemoryServer(options);
 
   auto connected =
       Socket::Connect(server->address(), Deadline::AfterMillis(2000));
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ORPHEUS_CHECK_OK(connected.status());
   Socket sock = connected.MoveValueOrDie();
   Hello hello;
-  hello.magic = kNetMagic;
-  hello.protocol_version = 99;
-  hello.client_uuid = "future-client";
+  hello.magic = magic;
+  hello.protocol_version = version;
+  hello.client_uuid = client_uuid;
   ORPHEUS_CHECK_OK(SendMessage(&sock, MsgType::kHello, EncodeHello(hello),
                                Deadline::AfterMillis(2000)));
   MsgType type;
   std::string payload;
   ORPHEUS_CHECK_OK(
       RecvMessage(&sock, &type, &payload, Deadline::AfterMillis(2000)));
-  ASSERT_EQ(type, MsgType::kHelloAck);
+  EXPECT_EQ(type, MsgType::kHelloAck);
   auto ack = DecodeHelloAck(payload);
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  EXPECT_EQ(ack.ValueOrDie().code,
-            static_cast<uint8_t>(StatusCode::kNotSupported));
-  EXPECT_NE(ack.ValueOrDie().message.find("version"), std::string::npos);
+  ORPHEUS_CHECK_OK(ack.status());
+  return ack.MoveValueOrDie();
+}
+
+TEST_F(NetTest, HandshakeRejectsVersionMismatch) {
+  const HelloAck ack = HandshakeWith(kNetMagic, 99, "future-client");
+  EXPECT_EQ(ack.code, static_cast<uint8_t>(StatusCode::kNotSupported));
+  EXPECT_NE(ack.message.find("version"), std::string::npos);
+}
+
+TEST_F(NetTest, HandshakeRefusesV1Client) {
+  // v1 shipped tables row-major; a v1 peer must be refused, not misparsed.
+  ASSERT_EQ(kProtocolVersion, 2u);
+  const HelloAck ack = HandshakeWith(kNetMagic, 1, "v1-client");
+  EXPECT_EQ(ack.code, static_cast<uint8_t>(StatusCode::kNotSupported));
+  EXPECT_NE(ack.message.find("v1"), std::string::npos);
 }
 
 TEST_F(NetTest, HandshakeRejectsBadMagic) {
-  ServerOptions options;
-  options.listen = "unix:" + MakeTempDir() + "/sock";
-  auto server = StartMemoryServer(options);
-
-  auto connected =
-      Socket::Connect(server->address(), Deadline::AfterMillis(2000));
-  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
-  Socket sock = connected.MoveValueOrDie();
-  Hello hello;
-  hello.magic = "NOTORPH1";
-  hello.client_uuid = "x";
-  ORPHEUS_CHECK_OK(SendMessage(&sock, MsgType::kHello, EncodeHello(hello),
-                               Deadline::AfterMillis(2000)));
-  MsgType type;
-  std::string payload;
-  ORPHEUS_CHECK_OK(
-      RecvMessage(&sock, &type, &payload, Deadline::AfterMillis(2000)));
-  auto ack = DecodeHelloAck(payload);
-  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
-  EXPECT_EQ(ack.ValueOrDie().code,
-            static_cast<uint8_t>(StatusCode::kInvalidArgument));
+  const HelloAck ack = HandshakeWith("NOTORPH1", kProtocolVersion, "x");
+  EXPECT_EQ(ack.code, static_cast<uint8_t>(StatusCode::kInvalidArgument));
 }
 
 // ---------------------------------------------------------------------------

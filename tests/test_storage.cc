@@ -17,6 +17,7 @@
 #include "common/failpoint.h"
 #include "common/file_util.h"
 #include "common/log.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -27,6 +28,7 @@
 #include "minidb/schema.h"
 #include "minidb/table.h"
 #include "minidb/value.h"
+#include "storage/crc32c_internal.h"
 #include "storage/format.h"
 #include "storage/repository.h"
 #include "storage/snapshot.h"
@@ -158,6 +160,70 @@ TEST(FormatTest, Crc32cKnownVector) {
   EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
   EXPECT_EQ(Crc32c(""), 0u);
   EXPECT_NE(Crc32c("123456789"), Crc32c("123456780"));
+}
+
+/// The byte-at-a-time table loop the fast kernels replaced: the reference
+/// they must agree with bit for bit.
+uint32_t ReferenceCrc32c(uint32_t crc, const char* data, size_t n) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c >> 1) ^ ((c & 1) ? 0x82F63B78 : 0);
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t state = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    state = (state >> 8) ^ table[(state ^ static_cast<uint8_t>(data[i])) & 0xFF];
+  }
+  return ~state;
+}
+
+/// Checks `kernel` against the reference on random buffers of every length
+/// 0..64 and random lengths up to 4096, each at all 8 start misalignments,
+/// from a zero and from a non-zero running CRC.
+void CheckKernel(uint32_t (*kernel)(uint32_t, const char*, size_t)) {
+  Xorshift rng(7);
+  std::vector<char> buf(4096 + 8);
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (int i = 0; i < 64; ++i) lengths.push_back(rng.Uniform(4097));
+  lengths.push_back(4096);
+  for (size_t n : lengths) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      const char* p = buf.data() + misalign;
+      for (uint32_t seed : {0u, 0xDEADBEEFu}) {
+        ASSERT_EQ(kernel(seed, p, n), ReferenceCrc32c(seed, p, n))
+            << "length " << n << ", misalignment " << misalign;
+      }
+    }
+  }
+}
+
+TEST(FormatTest, Crc32cPortableMatchesReference) {
+  CheckKernel(&crc32c_internal::ExtendPortable);
+}
+
+TEST(FormatTest, Crc32cSse42MatchesReference) {
+  if (!crc32c_internal::HasSse42()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  CheckKernel(&crc32c_internal::ExtendSse42);
+}
+
+TEST(FormatTest, Crc32cExtendComposes) {
+  Xorshift rng(11);
+  std::string data(3000, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  EXPECT_EQ(Crc32cExtend(0, data), Crc32c(data));
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{999},
+                       data.size()}) {
+    const std::string_view a = std::string_view(data).substr(0, split);
+    const std::string_view b = std::string_view(data).substr(split);
+    EXPECT_EQ(Crc32cExtend(Crc32cExtend(0, a), b), Crc32c(data))
+        << "split at " << split;
+  }
 }
 
 TEST(FormatTest, PrimitiveRoundtrip) {
