@@ -59,9 +59,51 @@ Value WidenStoredValue(const Value& v, ValueType to) {
   return v;
 }
 
-}  // namespace
+// A table row addressed for key identity.
+struct KeyedRow {
+  const Table* table;
+  uint32_t row;
+};
 
-namespace {
+// Typed key identity over table rows (minidb::KeyEquals, never a string
+// render): a row's key is its cells at `cols` (-1 reads NULL), each coerced
+// to `types[i]` when types are given — the type the committed record will
+// store. Serves as both the hash and the equality of a RowKeySet.
+class RowKeyOf {
+ public:
+  RowKeyOf(std::vector<int> cols, std::vector<ValueType> types)
+      : cols_(std::move(cols)), types_(std::move(types)) {}
+
+  Value Cell(const KeyedRow& r, size_t i) const {
+    if (cols_[i] < 0) return Value::Null();
+    Value v = r.table->GetValue(r.row, static_cast<size_t>(cols_[i]));
+    return types_.empty() ? v : CoerceValue(v, types_[i]);
+  }
+  Row Key(const KeyedRow& r) const {
+    Row key;
+    for (size_t i = 0; i < cols_.size(); ++i) key.push_back(Cell(r, i));
+    return key;
+  }
+  size_t operator()(const KeyedRow& r) const {
+    size_t h = 0;
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      h = (h * 0x100000001B3ULL) ^ minidb::KeyHash(Cell(r, i));
+    }
+    return h;
+  }
+  bool operator()(const KeyedRow& a, const KeyedRow& b) const {
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      if (!minidb::KeyEquals(Cell(a, i), Cell(b, i))) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<int> cols_;
+  std::vector<ValueType> types_;
+};
+
+using RowKeySet = std::unordered_set<KeyedRow, RowKeyOf, RowKeyOf>;
 
 // With ORPHEUS_VALIDATE set, re-check the CVD's invariants after a mutating
 // operation and abort on damage (see core/validate.h).
@@ -143,26 +185,17 @@ Result<minidb::Table> Cvd::Materialize(const std::vector<VersionId>& vids,
   if (vids.size() > 1) {
     // Precedence merge on the primary key: a record whose PK was already
     // added is omitted (Sec. 3.3.1). Without a PK, rid identity is used.
-    std::vector<int> pk_cols;
+    // Keys compare typed; every version materializes at the same schema.
+    std::vector<int> key_cols;
     for (const auto& pk : options_.primary_key) {
       int c = merged.schema().FindColumn(pk);
-      if (c >= 0) pk_cols.push_back(c);
+      if (c >= 0) key_cols.push_back(c);
     }
-    auto key_of = [&pk_cols](const Table& t, uint32_t r) {
-      if (pk_cols.empty()) return t.GetValue(r, 0).ToString();
-      std::string key;
-      for (int c : pk_cols) {
-        key += t.GetValue(r, static_cast<size_t>(c)).ToString();
-        key += '\x1f';
-      }
-      return key;
-    };
+    if (key_cols.empty()) key_cols.push_back(0);
     ORPHEUS_TRACE_SPAN("cvd.merge");
-    std::unordered_set<std::string> seen;
-    seen.reserve(merged.num_rows() * 2);
-    for (uint32_t r = 0; r < merged.num_rows(); ++r) {
-      seen.insert(key_of(merged, r));
-    }
+    const RowKeyOf key_of(std::move(key_cols), {});
+    RowKeySet seen(merged.num_rows() * 2, key_of, key_of);
+    for (uint32_t r = 0; r < merged.num_rows(); ++r) seen.insert({&merged, r});
     uint64_t scanned = merged.num_rows();
     uint64_t deduped = 0;
     for (size_t i = 1; i < vids.size(); ++i) {
@@ -172,10 +205,16 @@ Result<minidb::Table> Cvd::Materialize(const std::vector<VersionId>& vids,
       scanned += t.num_rows();
       std::vector<uint32_t> keep;
       for (uint32_t r = 0; r < t.num_rows(); ++r) {
-        if (seen.insert(key_of(t, r)).second) keep.push_back(r);
+        if (seen.count({&t, r}) == 0) keep.push_back(r);
       }
       deduped += t.num_rows() - keep.size();
+      // A version's keys are distinct, so its kept rows join the seen set
+      // once they live in `merged` (`t` dies with this iteration).
+      const uint32_t first = static_cast<uint32_t>(merged.num_rows());
       merged.AppendFrom(t, keep);
+      for (uint32_t r = first; r < merged.num_rows(); ++r) {
+        seen.insert({&merged, r});
+      }
     }
     ORPHEUS_COUNTER_ADD("cvd.merge.rows_scanned", scanned);
     ORPHEUS_COUNTER_ADD("cvd.merge.rows_deduped", deduped);
@@ -283,25 +322,86 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   const size_t num_attrs = plan.schema_after.size();
   const int parent_hint = parents.empty() ? -1 : DenseId(parents[0]);
 
-  // PK positions within the (planned) CVD attribute space.
-  std::vector<int> pk_attrs;
+  // The primary key's staging columns, keyed as the record will store them.
+  std::vector<int> pk_cols;
+  std::vector<ValueType> pk_types;
   for (const auto& pk : options_.primary_key) {
     for (size_t k = 0; k < num_attrs; ++k) {
       if (plan.schema_after[k].name == pk) {
-        pk_attrs.push_back(static_cast<int>(k));
+        pk_cols.push_back(col_of_attr[k]);
+        pk_types.push_back(plan.schema_after[k].type);
         break;
       }
     }
   }
+  const RowKeyOf pk_of(std::move(pk_cols), std::move(pk_types));
+  RowKeySet pk_seen(options_.primary_key.empty() ? 0 : table.num_rows() * 2,
+                    pk_of, pk_of);
+
+  // Stored records compare against staged rows in place. A column whose
+  // staged and stored cells already have the planned type compares typed
+  // without boxing; one under a coercion or a planned widening compares
+  // as if the widening had already converted the stored value.
+  const size_t stored_width = backend_->data_schema().num_columns();
+  std::vector<bool> in_place(num_attrs, false);
+  for (size_t k = 0; k < stored_width; ++k) {
+    const ValueType want = plan.schema_after[k].type;
+    in_place[k] = backend_->data_schema().column(k).type == want &&
+                  (col_of_attr[k] < 0 ||
+                   table.column(col_of_attr[k]).type() == want);
+  }
+  auto matches_stored = [&](uint32_t r,
+                            const DataModelBackend::RecordLocation& at) {
+    for (size_t k = 0; k < num_attrs; ++k) {
+      const int c = col_of_attr[k];
+      if (k >= stored_width) {
+        // Attributes beyond the stored arity must be NULL for a match.
+        if (c >= 0 && !table.column(c).IsNull(r)) return false;
+        continue;
+      }
+      const minidb::Column& stored =
+          at.table->column(backend_->PayloadColumn(static_cast<int>(k)));
+      if (c < 0) {
+        if (!stored.IsNull(at.row)) return false;
+      } else if (in_place[k]) {
+        if (!table.column(c).CellEquals(r, stored, at.row)) return false;
+      } else {
+        const ValueType want = plan.schema_after[k].type;
+        if (CoerceValue(table.GetValue(r, c), want) !=
+            WidenStoredValue(stored.GetValue(at.row), want)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
 
   std::vector<RecordId> rids;
   rids.reserve(table.num_rows());
   std::vector<NewRecord> new_records;
-  std::unordered_set<std::string> pk_seen;
-  pk_seen.reserve(table.num_rows() * 2);
   RecordId next_rid = next_rid_;
 
   for (uint32_t r = 0; r < table.num_rows(); ++r) {
+    // Primary-key constraint within the committed version.
+    if (!options_.primary_key.empty() && !pk_seen.insert({&table, r}).second) {
+      return Status::ConstraintViolation(StrFormat(
+          "duplicate primary key in commit of %s: %s", table.name().c_str(),
+          minidb::RenderKey(pk_of.Key({&table, r})).c_str()));
+    }
+    // Modification detection (no cross-version diff rule): a row carrying a
+    // rid is kept iff its payload still matches the stored record; anything
+    // else becomes a new immutable record.
+    RecordId rid = -1;
+    if (has_rid_col && !table.column(0).IsNull(r)) {
+      rid = table.column(0).GetInt(r);
+    }
+    if (rid >= 0 && rid < next_rid_) {
+      auto at = backend_->LocateRecord(rid, parent_hint);
+      if (at && matches_stored(r, *at)) {
+        rids.push_back(rid);
+        continue;
+      }
+    }
     // Project the staging row into the planned CVD attribute space.
     Row payload(num_attrs);
     for (size_t k = 0; k < num_attrs; ++k) {
@@ -311,52 +411,9 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
                         plan.schema_after[k].type);
       }
     }
-    // Primary-key constraint within the committed version.
-    if (!pk_attrs.empty()) {
-      std::string key;
-      for (int k : pk_attrs) {
-        key += payload[k].ToString();
-        key += '\x1f';
-      }
-      if (!pk_seen.insert(key).second) {
-        return Status::ConstraintViolation(
-            StrFormat("duplicate primary key in commit of %s: %s",
-                      table.name().c_str(), key.c_str()));
-      }
-    }
-    // Modification detection (no cross-version diff rule): a row carrying a
-    // rid is kept iff its payload still matches the stored record; anything
-    // else becomes a new immutable record. The stored payload is compared
-    // as if the planned widenings had already converted it.
-    RecordId rid = -1;
-    if (has_rid_col && !table.column(0).IsNull(r)) {
-      rid = table.column(0).GetInt(r);
-    }
-    bool keep = false;
-    if (rid >= 0 && rid < next_rid_) {
-      auto stored = backend_->GetRecordPayload(rid, parent_hint);
-      if (stored.ok() && stored->size() <= payload.size()) {
-        keep = true;
-        for (size_t k = 0; k < stored->size(); ++k) {
-          if (!(WidenStoredValue((*stored)[k], plan.schema_after[k].type) ==
-                payload[k])) {
-            keep = false;
-            break;
-          }
-        }
-        // Attributes beyond the stored arity must be NULL for a match.
-        for (size_t k = stored->size(); keep && k < payload.size(); ++k) {
-          if (!payload[k].is_null()) keep = false;
-        }
-      }
-    }
-    if (keep) {
-      rids.push_back(rid);
-    } else {
-      RecordId fresh = next_rid++;
-      rids.push_back(fresh);
-      new_records.push_back(NewRecord{fresh, std::move(payload)});
-    }
+    RecordId fresh = next_rid++;
+    rids.push_back(fresh);
+    new_records.push_back(NewRecord{fresh, std::move(payload)});
   }
 
   std::sort(rids.begin(), rids.end());
@@ -365,8 +422,64 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   ORPHEUS_COUNTER_ADD("cvd.commit.records_kept",
                       rids.size() - new_records.size());
 
-  std::vector<int64_t> weights;
-  for (VersionId p : parents) {
+  CvdCommitRecord record;
+  record.parents = parents;
+  record.rids = std::move(rids);
+  record.new_records = std::move(new_records);
+  record.new_attributes = std::move(plan.new_attributes);
+  record.current_attr_ids = std::move(plan.current_attr_ids);
+  record.schema_after = std::move(plan.schema_after);
+  record.next_rid_after = next_rid;
+  return FinishCommit(std::move(record), message, author, checkout_time);
+}
+
+Result<VersionId> Cvd::CommitMembership(const std::vector<VersionId>& parents,
+                                        std::vector<RecordId> carried,
+                                        std::vector<Row> fresh,
+                                        const std::string& message,
+                                        const std::string& author) {
+  for (VersionId p : parents) ORPHEUS_RETURN_NOT_OK(ValidateVersion(p));
+  ORPHEUS_TRACE_SPAN("cvd.commit");
+  const size_t width = backend_->data_schema().num_columns();
+  std::sort(carried.begin(), carried.end());
+  for (size_t i = 0; i < carried.size(); ++i) {
+    if (carried[i] < 0 || carried[i] >= next_rid_ ||
+        (i > 0 && carried[i] == carried[i - 1])) {
+      return Status::InvalidArgument(StrFormat(
+          "membership commit to %s carries unknown or repeated record %lld",
+          name_.c_str(), static_cast<long long>(carried[i])));
+    }
+  }
+  CvdCommitRecord record;
+  record.parents = parents;
+  record.rids = std::move(carried);
+  RecordId next_rid = next_rid_;
+  for (Row& payload : fresh) {
+    if (payload.size() != width) {
+      return Status::InvalidArgument(StrFormat(
+          "membership commit to %s: payload of %zu attributes, schema has %zu",
+          name_.c_str(), payload.size(), width));
+    }
+    record.rids.push_back(next_rid);
+    record.new_records.push_back(NewRecord{next_rid++, std::move(payload)});
+  }
+  // Fresh rids exceed every stored one, so the list stays sorted.
+  ORPHEUS_COUNTER_ADD("cvd.commit.records_new", record.new_records.size());
+  ORPHEUS_COUNTER_ADD("cvd.commit.records_kept",
+                      record.rids.size() - record.new_records.size());
+  record.current_attr_ids = current_attr_ids_;
+  record.schema_after = backend_->data_schema().columns();
+  record.next_rid_after = next_rid;
+  return FinishCommit(std::move(record), message, author, /*checkout_time=*/0);
+}
+
+Result<VersionId> Cvd::FinishCommit(CvdCommitRecord record,
+                                    const std::string& message,
+                                    const std::string& author,
+                                    LogicalTime checkout_time) {
+  // Phase 1, tail: parent edge weights and version metadata.
+  const std::vector<RecordId>& rids = record.rids;
+  for (VersionId p : record.parents) {
     auto prids = backend_->VersionRecords(DenseId(p));
     if (!prids.ok()) return prids.status();
     // Shared records = |parent ∩ new| via sorted merge.
@@ -385,27 +498,18 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
         ++j;
       }
     }
-    weights.push_back(shared);
+    record.parent_weights.push_back(shared);
   }
 
-  CvdCommitRecord record;
   record.vid = PublicId(backend_->num_versions());
-  record.parents = parents;
-  record.parent_weights = std::move(weights);
-  record.rids = std::move(rids);
-  record.new_records = std::move(new_records);
   record.metadata.vid = record.vid;
-  record.metadata.parents = parents;
+  record.metadata.parents = record.parents;
   record.metadata.checkout_time = checkout_time;
   record.metadata.commit_time = logical_clock_ + 1;
   record.metadata.message = message;
   record.metadata.author = author;
-  record.metadata.attributes = plan.current_attr_ids;
+  record.metadata.attributes = record.current_attr_ids;
   record.metadata.num_records = static_cast<int64_t>(record.rids.size());
-  record.new_attributes = std::move(plan.new_attributes);
-  record.current_attr_ids = std::move(plan.current_attr_ids);
-  record.schema_after = std::move(plan.schema_after);
-  record.next_rid_after = next_rid;
   record.logical_clock_after = logical_clock_ + 1;
 
   // Phase 2 — make it durable. On failure nothing was mutated: the failed
@@ -418,6 +522,11 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   // fails anyway the WAL is ahead of memory, which reopening repairs.
   ORPHEUS_RETURN_NOT_OK(ApplyCommitRecord(record));
   return record.vid;
+}
+
+Result<minidb::Row> Cvd::RecordPayload(RecordId rid, VersionId in) const {
+  ORPHEUS_RETURN_NOT_OK(ValidateVersion(in));
+  return backend_->GetRecordPayload(rid, DenseId(in));
 }
 
 Result<VersionId> Cvd::Commit(const std::string& table_name,

@@ -149,6 +149,23 @@ class Cvd {
                                 const std::string& author = "",
                                 LogicalTime checkout_time = 0);
 
+  /// Commit a version given by membership instead of by a table: the
+  /// stored records `carried` (any order, each at most once) plus `fresh`
+  /// payloads (data attributes at the current schema width) stored as new
+  /// records, rids assigned in order. No schema evolution. The session
+  /// reconcile's merge commit: its cost is the changed records plus the
+  /// membership lists, not a pass over a materialized table. Shares the
+  /// observer -> apply phases (and so the WAL record) with CommitTable.
+  Result<VersionId> CommitMembership(const std::vector<VersionId>& parents,
+                                     std::vector<RecordId> carried,
+                                     std::vector<minidb::Row> fresh,
+                                     const std::string& message,
+                                     const std::string& author = "");
+
+  /// Payload of stored record `rid` (data attributes at the current schema
+  /// width), looked up from version `in`, which should contain it.
+  Result<minidb::Row> RecordPayload(RecordId rid, VersionId in) const;
+
   // --- Durability hooks (src/storage/, DESIGN.md §10) ---
 
   /// Observer invoked with the full commit record after planning but
@@ -233,6 +250,14 @@ class Cvd {
   Status PlanSchema(const minidb::Table& table, bool has_rid_col,
                     SchemaPlan* plan,
                     std::vector<int>* staging_col_of_attr) const;
+
+  /// Finish a planned commit whose parents, membership, new records and
+  /// schema snapshot are filled in: add parent weights and metadata, hand
+  /// the record to the commit observer (phase 2), then apply it (phase 3).
+  Result<VersionId> FinishCommit(CvdCommitRecord record,
+                                 const std::string& message,
+                                 const std::string& author,
+                                 LogicalTime checkout_time);
 
   void RegisterAttribute(const std::string& attr_name, minidb::ValueType type);
 

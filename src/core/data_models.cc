@@ -38,6 +38,21 @@ Schema DataModelBackend::MaterializedSchema() const {
   return Schema(std::move(cols));
 }
 
+Result<minidb::Row> DataModelBackend::GetRecordPayload(RecordId rid,
+                                                      int version_hint) const {
+  std::optional<RecordLocation> at = LocateRecord(rid, version_hint);
+  if (!at) {
+    return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
+  }
+  Row out;
+  out.reserve(data_schema_.num_columns());
+  for (size_t k = 0; k < data_schema_.num_columns(); ++k) {
+    out.push_back(
+        at->table->GetValue(at->row, PayloadColumn(static_cast<int>(k))));
+  }
+  return out;
+}
+
 std::unique_ptr<DataModelBackend> DataModelBackend::Create(
     DataModelType type, Schema data_schema) {
   switch (type) {
@@ -139,21 +154,20 @@ Result<minidb::Table> ATablePerVersionBackend::Checkout(
   return t;
 }
 
-Result<minidb::Row> ATablePerVersionBackend::GetRecordPayload(
-    RecordId rid, int version_hint) const {
-  auto fetch = [this, rid](int v) -> std::optional<Row> {
+std::optional<DataModelBackend::RecordLocation>
+ATablePerVersionBackend::LocateRecord(RecordId rid, int version_hint) const {
+  auto find = [this, rid](int v) -> std::optional<RecordLocation> {
     auto hit = version_tables_[v].LookupUniqueInt(0, rid);
     if (!hit) return std::nullopt;
-    Row full = version_tables_[v].GetRow(*hit);
-    return Row(full.begin() + 1, full.end());
+    return RecordLocation{&version_tables_[v], *hit};
   };
   if (version_hint >= 0 && version_hint < num_versions_) {
-    if (auto row = fetch(version_hint)) return *row;
+    if (auto at = find(version_hint)) return at;
   }
   for (int v = num_versions_ - 1; v >= 0; --v) {
-    if (auto row = fetch(v)) return *row;
+    if (auto at = find(v)) return at;
   }
-  return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
+  return std::nullopt;
 }
 
 uint64_t ATablePerVersionBackend::StorageBytes() const {
@@ -256,23 +270,16 @@ Result<minidb::Table> CombinedTableBackend::Checkout(
   cols.reserve(data_schema_.num_columns() + 1);
   cols.push_back(0);  // _rid
   for (size_t k = 0; k < data_schema_.num_columns(); ++k) {
-    cols.push_back(PhysicalDataCol(static_cast<int>(k)));
+    cols.push_back(PayloadColumn(static_cast<int>(k)));
   }
   return combined_.ProjectRows(rows, cols, out);
 }
 
-Result<minidb::Row> CombinedTableBackend::GetRecordPayload(
-    RecordId rid, int version_hint) const {
+std::optional<DataModelBackend::RecordLocation>
+CombinedTableBackend::LocateRecord(RecordId rid, int /*version_hint*/) const {
   auto row = combined_.LookupUniqueInt(0, rid);
-  if (!row) {
-    return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
-  }
-  Row out;
-  out.reserve(data_schema_.num_columns());
-  for (size_t k = 0; k < data_schema_.num_columns(); ++k) {
-    out.push_back(combined_.GetValue(*row, PhysicalDataCol(static_cast<int>(k))));
-  }
-  return out;
+  if (!row) return std::nullopt;
+  return RecordLocation{&combined_, *row};
 }
 
 uint64_t CombinedTableBackend::StorageBytes() const {
@@ -289,7 +296,7 @@ Status CombinedTableBackend::AddAttribute(const ColumnDef& def) {
 }
 
 Status CombinedTableBackend::WidenAttribute(int attr_idx, ValueType to) {
-  ORPHEUS_RETURN_NOT_OK(combined_.WidenColumn(PhysicalDataCol(attr_idx), to));
+  ORPHEUS_RETURN_NOT_OK(combined_.WidenColumn(PayloadColumn(attr_idx), to));
   data_schema_.SetColumnType(static_cast<size_t>(attr_idx), to);
   return Status::OK();
 }
@@ -366,14 +373,11 @@ Result<minidb::Table> SplitByVlistBackend::Checkout(
   return data_.CopyRows(rows, out);
 }
 
-Result<minidb::Row> SplitByVlistBackend::GetRecordPayload(
-    RecordId rid, int version_hint) const {
+std::optional<DataModelBackend::RecordLocation>
+SplitByVlistBackend::LocateRecord(RecordId rid, int /*version_hint*/) const {
   auto row = data_.LookupUniqueInt(0, rid);
-  if (!row) {
-    return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
-  }
-  Row full = data_.GetRow(*row);
-  return Row(full.begin() + 1, full.end());
+  if (!row) return std::nullopt;
+  return RecordLocation{&data_, *row};
 }
 
 uint64_t SplitByVlistBackend::StorageBytes() const {
@@ -460,14 +464,11 @@ Result<minidb::Table> SplitByRlistBackend::Checkout(
   return data_.CopyRows(rows, out);
 }
 
-Result<minidb::Row> SplitByRlistBackend::GetRecordPayload(
-    RecordId rid, int version_hint) const {
+std::optional<DataModelBackend::RecordLocation>
+SplitByRlistBackend::LocateRecord(RecordId rid, int /*version_hint*/) const {
   auto row = data_.LookupUniqueInt(0, rid);
-  if (!row) {
-    return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
-  }
-  Row full = data_.GetRow(*row);
-  return Row(full.begin() + 1, full.end());
+  if (!row) return std::nullopt;
+  return RecordLocation{&data_, *row};
 }
 
 uint64_t SplitByRlistBackend::StorageBytes() const {
@@ -657,28 +658,24 @@ Result<minidb::Table> DeltaBasedBackend::Checkout(
   return result;
 }
 
-Result<minidb::Row> DeltaBasedBackend::GetRecordPayload(
-    RecordId rid, int version_hint) const {
+std::optional<DataModelBackend::RecordLocation>
+DeltaBasedBackend::LocateRecord(RecordId rid, int version_hint) const {
+  auto find = [this, rid](int v) -> std::optional<RecordLocation> {
+    auto hit = deltas_[v].inserts.LookupUniqueInt(0, rid);
+    if (!hit) return std::nullopt;
+    return RecordLocation{&deltas_[v].inserts, *hit};
+  };
   int v = version_hint >= 0 && version_hint < num_versions_
               ? version_hint
               : num_versions_ - 1;
-  while (v >= 0) {
-    auto hit = deltas_[v].inserts.LookupUniqueInt(0, rid);
-    if (hit) {
-      Row full = deltas_[v].inserts.GetRow(*hit);
-      return Row(full.begin() + 1, full.end());
-    }
-    v = deltas_[v].base;
+  for (; v >= 0; v = deltas_[v].base) {
+    if (auto at = find(v)) return at;
   }
   // Not on the hinted chain: fall back to scanning all deltas.
   for (int d = num_versions_ - 1; d >= 0; --d) {
-    auto hit = deltas_[d].inserts.LookupUniqueInt(0, rid);
-    if (hit) {
-      Row full = deltas_[d].inserts.GetRow(*hit);
-      return Row(full.begin() + 1, full.end());
-    }
+    if (auto at = find(d)) return at;
   }
-  return Status::NotFound(StrFormat("rid %lld", static_cast<long long>(rid)));
+  return std::nullopt;
 }
 
 uint64_t DeltaBasedBackend::StorageBytes() const {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,11 +66,29 @@ class DataModelBackend {
   virtual Result<minidb::Table> Checkout(int vid,
                                          const std::string& out) const = 0;
 
-  /// Fetch the payload of a single record by rid (used by commit's
-  /// modification detection). `version_hint` is a version known to contain
-  /// the rid (or a good starting point).
-  virtual Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                               int version_hint) const = 0;
+  /// Where stored record `rid` lives: row `row` of `table`, whose data
+  /// attribute k sits at column PayloadColumn(k). Every physical table is
+  /// widened and extended in place by WidenAttribute/AddAttribute, so a
+  /// located record reads at the current schema (attributes added after it
+  /// was stored read NULL).
+  struct RecordLocation {
+    const minidb::Table* table;
+    uint32_t row;
+  };
+
+  /// Find stored record `rid` (nullopt if none). `version_hint` is a
+  /// version known to contain the rid (or a good starting point). Commit's
+  /// modification detection compares staged cells against the located
+  /// record in place; the session reconcile fetches changed records here.
+  virtual std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const = 0;
+
+  /// Column of data attribute `attr` within a located record's table.
+  virtual int PayloadColumn(int attr) const { return attr + 1; }
+
+  /// The payload of a single record by rid: its data attributes at the
+  /// current schema width (LocateRecord, copied out).
+  Result<minidb::Row> GetRecordPayload(RecordId rid, int version_hint) const;
 
   /// Bytes of physical storage (data + versioning info + indexes); what
   /// Fig. 4.1(a) plots.
@@ -113,8 +132,8 @@ class ATablePerVersionBackend final : public DataModelBackend {
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
   Result<minidb::Table> Checkout(int vid,
                                  const std::string& out) const override;
-  Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                       int version_hint) const override;
+  std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
@@ -137,19 +156,19 @@ class CombinedTableBackend final : public DataModelBackend {
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
   Result<minidb::Table> Checkout(int vid,
                                  const std::string& out) const override;
-  Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                       int version_hint) const override;
+  std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
 
- private:
   // Physical position of data attribute k: attributes added after creation
   // land beyond the vlist column (minidb appends columns at the end).
-  int PhysicalDataCol(int k) const {
+  int PayloadColumn(int k) const override {
     return k + 1 < vlist_col_ ? k + 1 : k + 2;
   }
 
+ private:
   minidb::Table combined_;  // [_rid, attrs..., vlist, late attrs...]
   int vlist_col_;
 };
@@ -168,8 +187,8 @@ class SplitByVlistBackend final : public DataModelBackend {
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
   Result<minidb::Table> Checkout(int vid,
                                  const std::string& out) const override;
-  Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                       int version_hint) const override;
+  std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
@@ -194,8 +213,8 @@ class SplitByRlistBackend final : public DataModelBackend {
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
   Result<minidb::Table> Checkout(int vid,
                                  const std::string& out) const override;
-  Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                       int version_hint) const override;
+  std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
@@ -233,8 +252,8 @@ class DeltaBasedBackend final : public DataModelBackend {
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
   Result<minidb::Table> Checkout(int vid,
                                  const std::string& out) const override;
-  Result<minidb::Row> GetRecordPayload(RecordId rid,
-                                       int version_hint) const override;
+  std::optional<RecordLocation> LocateRecord(
+      RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;

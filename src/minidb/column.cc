@@ -157,6 +157,25 @@ void Column::SwapRemove(size_t i) {
   --size_;
 }
 
+bool Column::CellEquals(size_t i, const Column& other, size_t j) const {
+  const bool null_i = IsNull(i);
+  const bool null_j = other.IsNull(j);
+  if (null_i || null_j) return null_i && null_j;
+  if (type_ != other.type_) return GetValue(i) == other.GetValue(j);
+  switch (type_) {
+    case ValueType::kInt64:
+      return ints_[i] == other.ints_[j];
+    case ValueType::kDouble:
+      return doubles_[i] == other.doubles_[j];
+    case ValueType::kString:
+      return strings_[i] == other.strings_[j];
+    case ValueType::kIntArray:
+    case ValueType::kNull:
+      return GetValue(i) == other.GetValue(j);
+  }
+  return false;
+}
+
 Status Column::Widen(ValueType to) {
   if (to == type_) return Status::OK();
   if (type_ == ValueType::kInt64 && to == ValueType::kDouble) {

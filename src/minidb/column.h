@@ -122,6 +122,9 @@ class Column {
   /// Boxed accessor (respects nulls).
   Value GetValue(size_t i) const;
 
+  /// GetValue(i) == other.GetValue(j) without boxing either cell.
+  bool CellEquals(size_t i, const Column& other, size_t j) const;
+
   /// Overwrite cell `i` with `v` (type must match; null allowed).
   void SetValue(size_t i, const Value& v);
 

@@ -106,6 +106,25 @@ class Value {
 /// A materialized row: one Value per column.
 using Row = std::vector<Value>;
 
+/// Key identity — primary keys, the multi-version checkout's precedence
+/// merge, reconcile slots. Typed equality that is an equivalence relation:
+/// NULL equals only NULL, NaN equals NaN and -0.0 equals 0.0; different
+/// types never match. KeyHash and KeyLess (a total order; NULL first, NaN
+/// last among doubles) are consistent with it. Never compare keys through
+/// ToString(): "%g" folds distinct doubles and NULL renders as "NULL".
+bool KeyEquals(const Value& a, const Value& b);
+size_t KeyHash(const Value& v);
+bool KeyLess(const Value& a, const Value& b);
+
+/// Lexicographic KeyLess over equal-length key tuples (ordered-map keys).
+struct KeyTupleLess {
+  bool operator()(const Row& a, const Row& b) const;
+};
+
+/// Comma-joined display of a key tuple ("1,b"): for messages and conflict
+/// reports only, never for identity.
+std::string RenderKey(const Row& key);
+
 }  // namespace orpheus::minidb
 
 #endif  // ORPHEUS_MINIDB_VALUE_H_

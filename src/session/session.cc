@@ -1,6 +1,7 @@
 #include "session/session.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -13,38 +14,44 @@ namespace orpheus::session {
 
 namespace {
 
-/// Composite-key rendering for the merge maps and conflict reports. The
-/// unit separator cannot appear in rendered values' natural text, so keys
-/// compare exactly like the value tuples they stand for.
-constexpr char kKeySep = '\x1f';
+using core::RecordId;
 
-std::string RenderKey(const minidb::Table& table,
-                      const std::vector<int>& pk_cols, uint32_t row) {
-  std::string key;
-  for (size_t i = 0; i < pk_cols.size(); ++i) {
-    if (i > 0) key.push_back(kKeySep);
-    key.append(table.GetValue(row, pk_cols[i]).ToString());
-  }
-  return key;
-}
+enum class RowState { kAbsent, kUnchanged, kModified, kAdded };
 
-/// Human-readable form of a stored key (separator swapped for a comma).
-std::string DisplayKey(const std::string& key) {
-  std::string out = key;
-  std::replace(out.begin(), out.end(), kKeySep, ',');
+/// a ∖ b over sorted rid lists.
+std::vector<RecordId> Minus(const std::vector<RecordId>& a,
+                            const std::vector<RecordId>& b) {
+  std::vector<RecordId> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
   return out;
 }
 
-/// Data-payload equality of two rows (column 0 is _rid and is skipped).
-bool SameDataPayload(const minidb::Table& a, uint32_t ra,
-                     const minidb::Table& b, uint32_t rb) {
-  for (size_t c = 1; c < a.num_columns(); ++c) {
-    if (a.GetValue(ra, c) != b.GetValue(rb, c)) return false;
-  }
-  return true;
+/// a ∪ b over sorted rid lists.
+std::vector<RecordId> Union(const std::vector<RecordId>& a,
+                            const std::vector<RecordId>& b) {
+  std::vector<RecordId> out;
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
 }
 
-enum class RowState { kAbsent, kUnchanged, kModified, kAdded };
+/// MutexLock whose wait for the mutex is traced as the span `lock_wait`
+/// (the time committers queue behind one another on commit_mu_).
+class ORPHEUS_SCOPED_CAPABILITY TracedMutexLock {
+ public:
+  explicit TracedMutexLock(Mutex* mu) ORPHEUS_ACQUIRE(mu) : mu_(mu) {
+    ORPHEUS_TRACE_SPAN("lock_wait");
+    mu_->Lock();
+  }
+  ~TracedMutexLock() ORPHEUS_RELEASE() { mu_->Unlock(); }
+
+  TracedMutexLock(const TracedMutexLock&) = delete;
+  TracedMutexLock& operator=(const TracedMutexLock&) = delete;
+
+ private:
+  Mutex* const mu_;
+};
 
 }  // namespace
 
@@ -278,7 +285,7 @@ Status SessionManager::CommitStaged(
   std::vector<uint64_t> tickets;
   Status apply_status;
   {
-    MutexLock commit_lock(&commit_mu_);
+    TracedMutexLock commit_lock(&commit_mu_);
     ORPHEUS_RETURN_NOT_OK(RequireUsable());
     inflight_tickets_.clear();
     apply_status = CommitApply(table, parents, message, author, out);
@@ -288,7 +295,11 @@ Status SessionManager::CommitStaged(
   }
   // Wait outside commit_mu_: the next committer enqueues meanwhile and the
   // repository's leader batches both under one fsync.
-  Status durable_status = WaitTicketsDurable(tickets, deadline);
+  Status durable_status;
+  {
+    ORPHEUS_TRACE_SPAN("durable_wait");
+    durable_status = WaitTicketsDurable(tickets, deadline);
+  }
   if (durable_status.IsDeadlineExceeded()) {
     // The batch is still in flight: durability (and hence the outcome) is
     // unknown, so the manager is NOT poisoned and the watermark does not
@@ -367,7 +378,11 @@ Status SessionManager::CommitApply(const minidb::Table& table,
 
   // A concurrent commit moved the branch past our base: reconcile.
   ORPHEUS_TRACE_SPAN("session.reconcile");
-  ORPHEUS_ASSIGN_OR_RETURN(MergePlan plan, PlanMerge(base, tip, out->vid));
+  MergePlan plan;
+  {
+    ORPHEUS_TRACE_SPAN("plan");
+    ORPHEUS_ASSIGN_OR_RETURN(plan, PlanMerge(base, tip, out->vid));
+  }
   if (!plan.conflicts.empty()) {
     out->conflicts = std::move(plan.conflicts);
     out->reconciled_with = tip;
@@ -381,11 +396,12 @@ Status SessionManager::CommitApply(const minidb::Table& table,
     return Status::OK();
   }
   {
+    ORPHEUS_TRACE_SPAN("apply");
     WriterMutexLock data(&data_mu_);
     ORPHEUS_ASSIGN_OR_RETURN(
         out->merged_vid,
-        cvd_->CommitTable(
-            *plan.table, {tip, out->vid},
+        cvd_->CommitMembership(
+            {tip, out->vid}, std::move(plan.carried), std::move(plan.fresh),
             StrFormat("reconcile v%d into v%d", out->vid, tip), author));
   }
   out->reconciled = true;
@@ -396,169 +412,149 @@ Status SessionManager::CommitApply(const minidb::Table& table,
 
 Result<SessionManager::MergePlan> SessionManager::PlanMerge(
     core::VersionId base, core::VersionId tip, core::VersionId vid) const {
-  // Materialize the three corners of the merge at the current schema
-  // (records are immutable, so the shared lock only guards the catalog).
-  minidb::Table b_table("merge_base", minidb::Schema());
-  minidb::Table t_table("merge_tip", minidb::Schema());
-  minidb::Table v_table("merge_ours", minidb::Schema());
-  std::vector<int> pk_cols;
-  {
-    ReaderMutexLock data(&data_mu_);
-    ORPHEUS_ASSIGN_OR_RETURN(b_table, cvd_->Materialize({base}, "merge_base"));
-    ORPHEUS_ASSIGN_OR_RETURN(t_table, cvd_->Materialize({tip}, "merge_tip"));
-    ORPHEUS_ASSIGN_OR_RETURN(v_table, cvd_->Materialize({vid}, "merge_ours"));
-    for (const std::string& attr : cvd_->primary_key()) {
-      int col = v_table.schema().FindColumn(attr);
-      if (col < 0) {
-        return Status::Internal(StrFormat(
-            "primary-key attribute \"%s\" missing from materialized schema",
-            attr.c_str()));
-      }
-      pk_cols.push_back(col);
-    }
-  }
+  // Records are immutable, so the shared lock only guards the catalog.
+  ReaderMutexLock data(&data_mu_);
+  const core::Cvd& cvd = *cvd_;
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> b_rids,
+                           cvd.VersionRecords(base));
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> t_rids,
+                           cvd.VersionRecords(tip));
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> v_rids,
+                           cvd.VersionRecords(vid));
+  // The membership deltas name every record either side changed (a modify
+  // is a delete plus an add of a fresh rid); nothing else is looked at.
+  const std::vector<RecordId> t_added = Minus(t_rids, b_rids);
+  const std::vector<RecordId> t_removed = Minus(b_rids, t_rids);
+  const std::vector<RecordId> v_added = Minus(v_rids, b_rids);
+  const std::vector<RecordId> v_removed = Minus(b_rids, v_rids);
+  const std::vector<RecordId> b_changed = Union(t_removed, v_removed);
+  ORPHEUS_COUNTER_ADD("session.reconcile.records_touched",
+                      t_added.size() + t_removed.size() + v_added.size() +
+                          v_removed.size());
 
   MergePlan plan;
-  auto merged = std::make_unique<minidb::Table>(
-      StrFormat("reconcile_v%d_v%d", tip, vid), v_table.schema());
-
-  if (pk_cols.empty()) {
-    // No primary key: record-level merge. Records are immutable (a modify
-    // is delete+add of a fresh rid), so adds and deletes relative to the
-    // base can never collide — merge = (base minus both delete sets) plus
-    // both add sets, and conflicts are impossible (Ranjan et al. §3).
-    std::map<core::RecordId, std::pair<const minidb::Table*, uint32_t>> rows;
-    std::map<core::RecordId, int> membership;  // bit 1 = base, 2 = tip, 4 = v
-    for (uint32_t r = 0; r < b_table.num_rows(); ++r) {
-      membership[b_table.GetValue(r, 0).AsInt()] |= 1;
-    }
-    for (uint32_t r = 0; r < t_table.num_rows(); ++r) {
-      core::RecordId rid = t_table.GetValue(r, 0).AsInt();
-      membership[rid] |= 2;
-      rows.emplace(rid, std::make_pair(&t_table, r));
-    }
-    for (uint32_t r = 0; r < v_table.num_rows(); ++r) {
-      core::RecordId rid = v_table.GetValue(r, 0).AsInt();
-      membership[rid] |= 4;
-      rows.emplace(rid, std::make_pair(&v_table, r));
-    }
-    for (const auto& [rid, mask] : membership) {
-      const bool in_base = (mask & 1) != 0;
-      const bool keep = in_base ? mask == 7 : (mask & 6) != 0;
-      if (!keep) continue;
-      const auto& src = rows.at(rid);
-      merged->AppendRowUnchecked(src.first->GetRow(src.second));
-    }
-    plan.table = std::move(merged);
+  if (cvd.primary_key().empty()) {
+    // No primary key: record-level merge. Adds and deletes relative to the
+    // base can never collide, so the merge is (tip ∪ ours) minus both
+    // delete sets, and conflicts are impossible (Ranjan et al. §3).
+    plan.carried = Minus(Union(t_rids, v_rids), b_changed);
     return plan;
   }
 
-  // Primary-key three-way merge: classify every key's fate on each side.
+  // Primary-key three-way merge. Keys are unique within each version, so
+  // the key of a base record both sides kept cannot also belong to a
+  // changed record: those records carry forward untouched.
+  plan.carried = Minus(b_rids, b_changed);
+  const minidb::Schema& schema = cvd.backend()->data_schema();
+  std::vector<size_t> pk_attrs;
+  for (const std::string& attr : cvd.primary_key()) {
+    const int k = schema.FindColumn(attr);
+    if (k < 0) {
+      return Status::Internal(StrFormat(
+          "primary-key attribute \"%s\" missing from the CVD schema",
+          attr.c_str()));
+    }
+    pk_attrs.push_back(static_cast<size_t>(k));
+  }
+
+  // Slot every changed record under its typed key; slots iterate in key
+  // order, which fixes the order of conflicts and of fresh rids.
+  struct Side {
+    RecordId rid = -1;
+    minidb::Row row;
+  };
   struct Slot {
-    int64_t b = -1, t = -1, v = -1;  // row ids; -1 = key absent
+    Side b, t, v;
   };
-  std::map<std::string, Slot> keys;
-  for (uint32_t r = 0; r < b_table.num_rows(); ++r) {
-    keys[RenderKey(b_table, pk_cols, r)].b = r;
-  }
-  for (uint32_t r = 0; r < t_table.num_rows(); ++r) {
-    keys[RenderKey(t_table, pk_cols, r)].t = r;
-  }
-  for (uint32_t r = 0; r < v_table.num_rows(); ++r) {
-    keys[RenderKey(v_table, pk_cols, r)].v = r;
-  }
+  std::map<minidb::Row, Slot, minidb::KeyTupleLess> slots;
+  auto add_side = [&](const std::vector<RecordId>& rids, core::VersionId in,
+                      Side Slot::*side) -> Status {
+    for (RecordId rid : rids) {
+      ORPHEUS_ASSIGN_OR_RETURN(minidb::Row row, cvd.RecordPayload(rid, in));
+      minidb::Row key;
+      for (size_t k : pk_attrs) key.push_back(row[k]);
+      slots[std::move(key)].*side = Side{rid, std::move(row)};
+    }
+    return Status::OK();
+  };
+  ORPHEUS_RETURN_NOT_OK(add_side(b_changed, base, &Slot::b));
+  ORPHEUS_RETURN_NOT_OK(add_side(t_added, tip, &Slot::t));
+  ORPHEUS_RETURN_NOT_OK(add_side(v_added, vid, &Slot::v));
 
-  auto state_of = [&](const Slot& s, const minidb::Table& side,
-                      int64_t side_row) {
-    if (s.b < 0) return side_row < 0 ? RowState::kAbsent : RowState::kAdded;
-    if (side_row < 0) return RowState::kAbsent;  // deleted
-    // Same rid => untouched (records are immutable); a new rid under the
-    // same key is a modification.
-    const int64_t b_rid = b_table.GetValue(s.b, 0).AsInt();
-    const int64_t s_rid = side.GetValue(side_row, 0).AsInt();
-    return b_rid == s_rid ? RowState::kUnchanged : RowState::kModified;
+  // A side's fate for a key. A base record missing from a side's removals
+  // is still in that side: unchanged (records are immutable, so the same
+  // rid means the same payload).
+  auto state_of = [](const Slot& s, const Side& side,
+                     const std::vector<RecordId>& removed) {
+    if (s.b.rid < 0) return side.rid < 0 ? RowState::kAbsent : RowState::kAdded;
+    if (side.rid >= 0) return RowState::kModified;
+    return std::binary_search(removed.begin(), removed.end(), s.b.rid)
+               ? RowState::kAbsent
+               : RowState::kUnchanged;
+  };
+  auto conflict = [&](const minidb::Row& key, size_t attr, std::string base_v,
+                      const minidb::Value& ours, const minidb::Value& theirs) {
+    plan.conflicts.push_back(MergeConflict{
+        minidb::RenderKey(key), schema.column(attr).name, std::move(base_v),
+        ours.ToString(), theirs.ToString()});
   };
 
-  for (const auto& [key, slot] : keys) {
-    const RowState ts = state_of(slot, t_table, slot.t);
-    const RowState vs = state_of(slot, v_table, slot.v);
-    if (slot.b < 0) {
+  for (const auto& [key, slot] : slots) {
+    const RowState ts = state_of(slot, slot.t, t_removed);
+    const RowState vs = state_of(slot, slot.v, v_removed);
+    const Side& t = ts == RowState::kUnchanged ? slot.b : slot.t;
+    const Side& v = vs == RowState::kUnchanged ? slot.b : slot.v;
+    if (slot.b.rid < 0) {
       // add/add (or a one-sided add).
       if (ts == RowState::kAdded && vs == RowState::kAdded) {
-        if (SameDataPayload(t_table, slot.t, v_table, slot.v)) {
+        if (t.row == v.row) {
           // Identical insert on both sides: keep the tip's record id.
-          merged->AppendRowUnchecked(t_table.GetRow(slot.t));
+          plan.carried.push_back(t.rid);
         } else {
-          for (size_t c = 1; c < v_table.num_columns(); ++c) {
-            minidb::Value tv = t_table.GetValue(slot.t, c);
-            minidb::Value vv = v_table.GetValue(slot.v, c);
-            if (tv != vv) {
-              plan.conflicts.push_back(MergeConflict{
-                  DisplayKey(key), v_table.schema().column(c).name,
-                  /*base=*/"", vv.ToString(), tv.ToString()});
-            }
+          for (size_t c = 0; c < t.row.size(); ++c) {
+            if (t.row[c] != v.row[c]) conflict(key, c, "", v.row[c], t.row[c]);
           }
         }
       } else if (ts == RowState::kAdded) {
-        merged->AppendRowUnchecked(t_table.GetRow(slot.t));
+        plan.carried.push_back(t.rid);
       } else if (vs == RowState::kAdded) {
-        merged->AppendRowUnchecked(v_table.GetRow(slot.v));
+        plan.carried.push_back(v.rid);
       }
       continue;
     }
     // Key existed at the base.
-    if (ts == RowState::kAbsent && vs == RowState::kAbsent) continue;
-    if (ts == RowState::kUnchanged && vs == RowState::kUnchanged) {
-      merged->AppendRowUnchecked(t_table.GetRow(slot.t));
-    } else if (ts == RowState::kAbsent) {
+    if (ts == RowState::kAbsent) {
       // delete/modify: the modification wins (Ranjan et al.'s rule — a
-      // concurrent edit proves the record still matters).
-      if (vs == RowState::kModified) {
-        merged->AppendRowUnchecked(v_table.GetRow(slot.v));
-      }
-      // vs == kUnchanged: clean delete.
+      // concurrent edit proves the record still matters); delete vs
+      // unchanged is a clean delete.
+      if (vs == RowState::kModified) plan.carried.push_back(v.rid);
     } else if (vs == RowState::kAbsent) {
-      if (ts == RowState::kModified) {
-        merged->AppendRowUnchecked(t_table.GetRow(slot.t));
-      }
+      if (ts == RowState::kModified) plan.carried.push_back(t.rid);
     } else if (ts == RowState::kUnchanged) {
-      merged->AppendRowUnchecked(v_table.GetRow(slot.v));
+      plan.carried.push_back(v.rid);
     } else if (vs == RowState::kUnchanged) {
-      merged->AppendRowUnchecked(t_table.GetRow(slot.t));
-    } else if (SameDataPayload(t_table, slot.t, v_table, slot.v)) {
+      plan.carried.push_back(t.rid);
+    } else if (t.row == v.row) {
       // modify/modify to the same payload: keep the tip's record id.
-      merged->AppendRowUnchecked(t_table.GetRow(slot.t));
+      plan.carried.push_back(t.rid);
     } else {
       // modify/modify: attribute-wise three-way against the base. The
-      // merged row combines cells from both sides, so it is a new record:
-      // _rid is left NULL and CommitTable assigns a fresh id.
-      minidb::Row row;
-      row.reserve(v_table.num_columns());
-      row.push_back(minidb::Value::Null());
-      size_t conflicts_before = plan.conflicts.size();
-      for (size_t c = 1; c < v_table.num_columns(); ++c) {
-        minidb::Value bv = b_table.GetValue(slot.b, c);
-        minidb::Value tv = t_table.GetValue(slot.t, c);
-        minidb::Value vv = v_table.GetValue(slot.v, c);
-        if (tv != bv && vv != bv && tv != vv) {
-          plan.conflicts.push_back(MergeConflict{
-              DisplayKey(key), v_table.schema().column(c).name,
-              bv.ToString(), vv.ToString(), tv.ToString()});
-          row.push_back(std::move(bv));  // placeholder; plan is discarded
-        } else if (vv != bv) {
-          row.push_back(std::move(vv));
+      // merged row combines cells from both sides, so it is a new record.
+      const minidb::Row& b = slot.b.row;
+      minidb::Row merged(b.size());
+      const size_t conflicts_before = plan.conflicts.size();
+      for (size_t c = 0; c < b.size(); ++c) {
+        if (t.row[c] != b[c] && v.row[c] != b[c] && t.row[c] != v.row[c]) {
+          conflict(key, c, b[c].ToString(), v.row[c], t.row[c]);
         } else {
-          row.push_back(std::move(tv));  // tv != bv, or tv == bv == vv
+          merged[c] = v.row[c] != b[c] ? v.row[c] : t.row[c];
         }
       }
       if (plan.conflicts.size() == conflicts_before) {
-        merged->AppendRowUnchecked(row);
+        plan.fresh.push_back(std::move(merged));
       }
     }
   }
-
-  if (!plan.conflicts.empty()) return plan;  // table stays null
-  plan.table = std::move(merged);
   return plan;
 }
 

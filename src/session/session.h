@@ -247,10 +247,13 @@ class SessionManager {
                      CommitOutcome* out) ORPHEUS_REQUIRES(commit_mu_);
 
   /// Deterministic three-way record-level merge of tip `t` and fresh
-  /// commit `v` against their common base `b` (session.cc §"merge").
+  /// commit `v` against their common base `b` (DESIGN.md §13.2), planned
+  /// from the membership deltas: only records one side changed are
+  /// fetched and classified. Takes data_mu_ shared.
   struct MergePlan {
-    std::unique_ptr<minidb::Table> table;  // null when conflicts is non-empty
-    std::vector<MergeConflict> conflicts;
+    std::vector<core::RecordId> carried;  // stored records the merge keeps
+    std::vector<minidb::Row> fresh;       // attribute-wise merged payloads
+    std::vector<MergeConflict> conflicts;  // non-empty: no merge commit
   };
   Result<MergePlan> PlanMerge(core::VersionId base, core::VersionId tip,
                               core::VersionId vid) const;

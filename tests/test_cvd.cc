@@ -133,6 +133,59 @@ TEST_F(CvdTest, CommitEnforcesPrimaryKey) {
       cvd_->Commit("w", &staging_, "dup").status().IsConstraintViolation());
 }
 
+// Primary-key identity is typed value equality. These pairs render alike
+// through Value::ToString ("%g" doubles; NULL and the string "NULL") yet
+// are distinct keys.
+std::vector<std::pair<Value, Value>> KeysThatRenderAlike() {
+  return {{Value(0.1234561), Value(0.1234562)}, {Value::Null(), Value("NULL")}};
+}
+
+Table KeyedTable(ValueType key_type,
+                 const std::vector<std::pair<Value, int64_t>>& rows) {
+  Table t("keyed", Schema({{"k", key_type}, {"v", ValueType::kInt64}}));
+  for (const auto& [key, v] : rows) t.AppendRowUnchecked({key, Value(v)});
+  return t;
+}
+
+Cvd::Options KeyOnK() {
+  Cvd::Options opt;
+  opt.primary_key = {"k"};
+  return opt;
+}
+
+TEST(CvdTypedKeyTest, CommitAcceptsDistinctKeysThatRenderAlike) {
+  for (const auto& [a, b] : KeysThatRenderAlike()) {
+    ASSERT_EQ(a.ToString(), b.ToString());
+    const ValueType type = a.is_null() ? b.type() : a.type();
+    auto cvd = Cvd::Init("K", KeyedTable(type, {{a, 1}, {b, 2}}), KeyOnK());
+    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+    EXPECT_EQ((*cvd)->version_metadata(1).num_records, 2);
+    // A true duplicate is still refused.
+    EXPECT_TRUE(Cvd::Init("K", KeyedTable(type, {{a, 1}, {a, 2}}), KeyOnK())
+                    .status()
+                    .IsConstraintViolation());
+  }
+}
+
+TEST(CvdTypedKeyTest, MultiVersionCheckoutKeepsKeysThatRenderAlike) {
+  for (const auto& [a, b] : KeysThatRenderAlike()) {
+    const ValueType type = a.is_null() ? b.type() : a.type();
+    auto cvd = Cvd::Init("K", KeyedTable(type, {{a, 1}}), KeyOnK());
+    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+    ASSERT_TRUE((*cvd)->CommitTable(KeyedTable(type, {{b, 2}}), {1}, "b").ok());
+    ASSERT_TRUE((*cvd)->CommitTable(KeyedTable(type, {{a, 3}}), {1}, "a").ok());
+    // v1 ∪ v2: two keys, both kept.
+    auto both = (*cvd)->Materialize({2, 1}, "both");
+    ASSERT_TRUE(both.ok()) << both.status().ToString();
+    EXPECT_EQ(both->num_rows(), 2u);
+    // v3 then v1 share key a: precedence keeps v3's record only.
+    auto shadowed = (*cvd)->Materialize({3, 1}, "shadowed");
+    ASSERT_TRUE(shadowed.ok()) << shadowed.status().ToString();
+    ASSERT_EQ(shadowed->num_rows(), 1u);
+    EXPECT_EQ(shadowed->GetValue(0, 2).AsInt(), 3);
+  }
+}
+
 TEST_F(CvdTest, CommitWithoutCheckoutRejected) {
   EXPECT_TRUE(cvd_->Commit("ghost", &staging_, "x").status().IsNotFound());
 }

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -15,8 +16,10 @@
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/validation.h"
 #include "core/cvd.h"
@@ -323,6 +326,41 @@ TEST_F(SessionTest, NoPrimaryKeyMergesAtTheRecordLevelWithoutConflicts) {
                 {3, "c"}, {4, "d"}, {5, "e"}}));
 }
 
+TEST_F(SessionTest, MergeKeysAreTypedNotRendered) {
+  // 0.1234561 and 0.1234562 both render "0.123456" under %g; NULL and the
+  // string "NULL" render alike too. Each pair is two records, so the two
+  // concurrent inserts merge cleanly instead of colliding in one slot.
+  for (const auto& [ours, theirs] :
+       std::vector<std::pair<Value, Value>>{
+           {Value(0.1234561), Value(0.1234562)},
+           {Value::Null(), Value("NULL")}}) {
+    ASSERT_EQ(ours.ToString(), theirs.ToString());
+    const ValueType key_type = ours.is_null() ? theirs.type() : ours.type();
+    Table seed("seed", Schema({{"k", key_type}, {"v", ValueType::kString}}));
+    ORPHEUS_CHECK_OK(seed.InsertRow(
+        {key_type == ValueType::kDouble ? Value(0.5) : Value("base"),
+         Value("b")}));
+    core::Cvd::Options opts;
+    opts.primary_key = {"k"};
+    SessionManager manager(core::Cvd::Init("t", seed, opts).MoveValueOrDie(),
+                           nullptr);
+    auto s1 = manager.Open();
+    auto s2 = manager.Open();
+    ASSERT_TRUE(s1->Checkout({1}, "t").ok());
+    ASSERT_TRUE(s2->Checkout({1}, "t").ok());
+    s1->table("t")->AppendRowUnchecked({Value::Null(), theirs, Value("x")});
+    ASSERT_TRUE(s1->Commit("t", "theirs").ok());
+    s2->table("t")->AppendRowUnchecked({Value::Null(), ours, Value("y")});
+    auto out = s2->Commit("t", "ours");
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(out->conflicts.empty());
+    ASSERT_TRUE(out->reconciled);
+    auto peek = manager.Open();
+    ASSERT_TRUE(peek->Checkout({out->merged_vid}, "m").ok());
+    EXPECT_EQ(peek->table("m")->num_rows(), 3u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: a fixed commit order reconciles identically at any degree
 // ---------------------------------------------------------------------------
@@ -389,6 +427,447 @@ TEST_F(SessionTest, ReconciliationIsDeterministicAcrossDegrees) {
   for (size_t i = 1; i < serial.outcomes.size(); ++i) {
     EXPECT_NE(std::get<1>(serial.outcomes[i]), core::kInvalidVersion);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the delta reconcile against the three-materialize oracle
+// ---------------------------------------------------------------------------
+
+/// The reconcile as planned before membership deltas, kept only as the
+/// reference the delta planner must agree with: materialize base, tip and
+/// ours in full, key every row by its rendered primary key, and build the
+/// merged table row by row (a NULL _rid marks a new record). Its keys are
+/// string renders, so the histories below use integer keys.
+struct OracleMerge {
+  std::unique_ptr<Table> table;  // null when conflicts is non-empty
+  std::vector<MergeConflict> conflicts;
+};
+
+std::string OracleKey(const Table& table, const std::vector<int>& pk_cols,
+                      uint32_t row) {
+  std::string key;
+  for (size_t i = 0; i < pk_cols.size(); ++i) {
+    if (i > 0) key.push_back(',');
+    key.append(table.GetValue(row, pk_cols[i]).ToString());
+  }
+  return key;
+}
+
+bool OracleSamePayload(const Table& a, uint32_t ra, const Table& b,
+                       uint32_t rb) {
+  for (size_t c = 1; c < a.num_columns(); ++c) {
+    if (a.GetValue(ra, c) != b.GetValue(rb, c)) return false;
+  }
+  return true;
+}
+
+OracleMerge OraclePlanMerge(const core::Cvd& cvd, VersionId base,
+                            VersionId tip, VersionId vid) {
+  enum class State { kAbsent, kUnchanged, kModified, kAdded };
+  Table b_table = cvd.Materialize({base}, "merge_base").MoveValueOrDie();
+  Table t_table = cvd.Materialize({tip}, "merge_tip").MoveValueOrDie();
+  Table v_table = cvd.Materialize({vid}, "merge_ours").MoveValueOrDie();
+  std::vector<int> pk_cols;
+  for (const std::string& attr : cvd.primary_key()) {
+    pk_cols.push_back(v_table.schema().FindColumn(attr));
+  }
+  OracleMerge plan;
+  auto merged = std::make_unique<Table>("oracle", v_table.schema());
+
+  if (pk_cols.empty()) {
+    std::map<core::RecordId, std::pair<const Table*, uint32_t>> rows;
+    std::map<core::RecordId, int> membership;  // bit 1 = base, 2 = tip, 4 = v
+    for (uint32_t r = 0; r < b_table.num_rows(); ++r) {
+      membership[b_table.GetValue(r, 0).AsInt()] |= 1;
+    }
+    for (uint32_t r = 0; r < t_table.num_rows(); ++r) {
+      core::RecordId rid = t_table.GetValue(r, 0).AsInt();
+      membership[rid] |= 2;
+      rows.emplace(rid, std::make_pair(&t_table, r));
+    }
+    for (uint32_t r = 0; r < v_table.num_rows(); ++r) {
+      core::RecordId rid = v_table.GetValue(r, 0).AsInt();
+      membership[rid] |= 4;
+      rows.emplace(rid, std::make_pair(&v_table, r));
+    }
+    for (const auto& [rid, mask] : membership) {
+      const bool in_base = (mask & 1) != 0;
+      const bool keep = in_base ? mask == 7 : (mask & 6) != 0;
+      if (!keep) continue;
+      const auto& src = rows.at(rid);
+      merged->AppendRowUnchecked(src.first->GetRow(src.second));
+    }
+    plan.table = std::move(merged);
+    return plan;
+  }
+
+  struct Slot {
+    int64_t b = -1, t = -1, v = -1;  // row ids; -1 = key absent
+  };
+  std::map<std::string, Slot> keys;
+  for (uint32_t r = 0; r < b_table.num_rows(); ++r) {
+    keys[OracleKey(b_table, pk_cols, r)].b = r;
+  }
+  for (uint32_t r = 0; r < t_table.num_rows(); ++r) {
+    keys[OracleKey(t_table, pk_cols, r)].t = r;
+  }
+  for (uint32_t r = 0; r < v_table.num_rows(); ++r) {
+    keys[OracleKey(v_table, pk_cols, r)].v = r;
+  }
+  auto state_of = [&](const Slot& s, const Table& side, int64_t side_row) {
+    if (s.b < 0) return side_row < 0 ? State::kAbsent : State::kAdded;
+    if (side_row < 0) return State::kAbsent;
+    return b_table.GetValue(s.b, 0) == side.GetValue(side_row, 0)
+               ? State::kUnchanged
+               : State::kModified;
+  };
+  auto keep = [&merged](const Table& t, int64_t row) {
+    merged->AppendRowUnchecked(t.GetRow(static_cast<uint32_t>(row)));
+  };
+  for (const auto& [key, slot] : keys) {
+    const State ts = state_of(slot, t_table, slot.t);
+    const State vs = state_of(slot, v_table, slot.v);
+    if (slot.b < 0) {
+      if (ts == State::kAdded && vs == State::kAdded) {
+        if (OracleSamePayload(t_table, slot.t, v_table, slot.v)) {
+          keep(t_table, slot.t);
+        } else {
+          for (size_t c = 1; c < v_table.num_columns(); ++c) {
+            Value tv = t_table.GetValue(slot.t, c);
+            Value vv = v_table.GetValue(slot.v, c);
+            if (tv != vv) {
+              plan.conflicts.push_back(
+                  MergeConflict{key, v_table.schema().column(c).name, "",
+                                vv.ToString(), tv.ToString()});
+            }
+          }
+        }
+      } else if (ts == State::kAdded) {
+        keep(t_table, slot.t);
+      } else if (vs == State::kAdded) {
+        keep(v_table, slot.v);
+      }
+      continue;
+    }
+    if (ts == State::kAbsent && vs == State::kAbsent) continue;
+    if (ts == State::kUnchanged && vs == State::kUnchanged) {
+      keep(t_table, slot.t);
+    } else if (ts == State::kAbsent) {
+      if (vs == State::kModified) keep(v_table, slot.v);
+    } else if (vs == State::kAbsent) {
+      if (ts == State::kModified) keep(t_table, slot.t);
+    } else if (ts == State::kUnchanged) {
+      keep(v_table, slot.v);
+    } else if (vs == State::kUnchanged) {
+      keep(t_table, slot.t);
+    } else if (OracleSamePayload(t_table, slot.t, v_table, slot.v)) {
+      keep(t_table, slot.t);
+    } else {
+      minidb::Row row{Value::Null()};
+      const size_t conflicts_before = plan.conflicts.size();
+      for (size_t c = 1; c < v_table.num_columns(); ++c) {
+        Value bv = b_table.GetValue(slot.b, c);
+        Value tv = t_table.GetValue(slot.t, c);
+        Value vv = v_table.GetValue(slot.v, c);
+        if (tv != bv && vv != bv && tv != vv) {
+          plan.conflicts.push_back(
+              MergeConflict{key, v_table.schema().column(c).name,
+                            bv.ToString(), vv.ToString(), tv.ToString()});
+          row.push_back(bv);
+        } else {
+          row.push_back(vv != bv ? vv : tv);
+        }
+      }
+      if (plan.conflicts.size() == conflicts_before) {
+        merged->AppendRowUnchecked(row);
+      }
+    }
+  }
+  if (plan.conflicts.empty()) plan.table = std::move(merged);
+  return plan;
+}
+
+using ConflictTuple = std::tuple<std::string, std::string, std::string,
+                                 std::string, std::string>;
+
+std::vector<ConflictTuple> SortedConflicts(
+    const std::vector<MergeConflict>& conflicts) {
+  std::vector<ConflictTuple> out;
+  for (const MergeConflict& c : conflicts) {
+    out.emplace_back(c.key, c.attribute, c.base, c.ours, c.theirs);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// "v1|v2|..." over a table row's data cells (column 0, _rid, skipped).
+std::string RenderPayload(const Table& t, uint32_t row) {
+  std::string out;
+  for (size_t c = 1; c < t.num_columns(); ++c) {
+    if (c > 1) out.push_back('|');
+    out.append(t.GetValue(row, c).ToString());
+  }
+  return out;
+}
+
+/// Payload renders of a table's rows, sorted (a multiset: without a
+/// primary key two records may carry the same id).
+std::vector<std::string> SortedPayloads(const Table& t) {
+  std::vector<std::string> out;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    out.push_back(RenderPayload(t, r));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// `t` re-shipped with column `col` retyped to `to`, or appended as an
+/// all-NULL column when absent: a client's ALTER TABLE.
+Table Reshape(const Table& t, const std::string& col, ValueType to) {
+  std::vector<minidb::ColumnDef> cols = t.schema().columns();
+  const int c = t.schema().FindColumn(col);
+  if (c < 0) {
+    cols.push_back({col, to});
+  } else {
+    cols[c].type = to;
+  }
+  Table out(t.name(), Schema(std::move(cols)));
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    minidb::Row row = t.GetRow(r);
+    if (c < 0) {
+      row.push_back(Value::Null());
+    } else if (!row[c].is_null() && to == ValueType::kDouble) {
+      row[c] = Value(row[c].NumericValue());
+    }
+    out.AppendRowUnchecked(row);
+  }
+  return out;
+}
+
+/// A few random adds, deletes and modifies of a staged (_rid, id, name,
+/// score[, note]) table. Values come from tiny domains and new ids from a
+/// small shared range, so two sessions often make identical inserts,
+/// identical edits, same-attribute conflicts and delete-vs-modify pairs.
+void RandomEdits(Table* t, Xorshift* rng) {
+  static const char* const kNames[] = {"a", "b", "c"};
+  const int name_c = t->schema().FindColumn("name");
+  const int score_c = t->schema().FindColumn("score");
+  const int note_c = t->schema().FindColumn("note");
+  auto score = [&] {
+    const int64_t x = static_cast<int64_t>(rng->Uniform(3));
+    return t->schema().column(score_c).type == ValueType::kDouble
+               ? Value(static_cast<double>(x) + 0.5)
+               : Value(x);
+  };
+  const int ops = 1 + static_cast<int>(rng->Uniform(4));
+  for (int i = 0; i < ops; ++i) {
+    const uint64_t op = rng->Uniform(10);
+    if (op < 2 || t->num_rows() == 0) {
+      const int64_t id = 100 + static_cast<int64_t>(rng->Uniform(6));
+      if (RowOf(*t, id) >= 0) continue;
+      minidb::Row row(t->num_columns());
+      row[1] = Value(id);
+      row[name_c] = Value(kNames[rng->Uniform(3)]);
+      row[score_c] = score();
+      t->AppendRowUnchecked(row);
+    } else if (op < 4) {
+      t->DeleteRows({static_cast<uint32_t>(rng->Uniform(t->num_rows()))});
+    } else {
+      const uint32_t r = static_cast<uint32_t>(rng->Uniform(t->num_rows()));
+      minidb::Row row = t->GetRow(r);
+      const uint64_t which = rng->Uniform(note_c < 0 ? 2 : 3);
+      if (which == 0) row[name_c] = Value(kNames[rng->Uniform(3)]);
+      if (which == 1) row[score_c] = score();
+      if (which == 2) row[note_c] = Value(kNames[rng->Uniform(3)]);
+      t->SetRow(r, row);
+    }
+  }
+}
+
+struct DifferentialTally {
+  int reconciled = 0;
+  int conflicted = 0;
+  int fresh_merges = 0;
+};
+
+/// Compare one reconciled commit against the oracle over the same three
+/// corners: the same conflict set, the same merged payloads, the same
+/// carried-forward rids and as many new records.
+void CheckAgainstOracle(const core::Cvd& cvd, VersionId base,
+                        const CommitOutcome& out, DifferentialTally* tally) {
+  OracleMerge oracle =
+      OraclePlanMerge(cvd, base, out.reconciled_with, out.vid);
+  EXPECT_EQ(SortedConflicts(out.conflicts), SortedConflicts(oracle.conflicts));
+  if (!oracle.conflicts.empty()) {
+    EXPECT_FALSE(out.reconciled);
+    ++tally->conflicted;
+    return;
+  }
+  ASSERT_TRUE(out.reconciled);
+  ++tally->reconciled;
+  Table merged = cvd.Materialize({out.merged_vid}, "m").MoveValueOrDie();
+  EXPECT_EQ(SortedPayloads(merged), SortedPayloads(*oracle.table));
+
+  std::vector<core::RecordId> oracle_carried;
+  size_t oracle_fresh = 0;
+  for (uint32_t r = 0; r < oracle.table->num_rows(); ++r) {
+    if (oracle.table->column(0).IsNull(r)) {
+      ++oracle_fresh;
+    } else {
+      oracle_carried.push_back(oracle.table->column(0).GetInt(r));
+    }
+  }
+  std::sort(oracle_carried.begin(), oracle_carried.end());
+  std::vector<core::RecordId> sides =
+      cvd.VersionRecords(out.vid).MoveValueOrDie();
+  const std::vector<core::RecordId> tip =
+      cvd.VersionRecords(out.reconciled_with).MoveValueOrDie();
+  const std::vector<core::RecordId> merged_rids =
+      cvd.VersionRecords(out.merged_vid).MoveValueOrDie();
+  sides.insert(sides.end(), tip.begin(), tip.end());
+  std::sort(sides.begin(), sides.end());
+  std::vector<core::RecordId> carried;
+  size_t fresh = 0;
+  for (core::RecordId rid : merged_rids) {
+    if (std::binary_search(sides.begin(), sides.end(), rid)) {
+      carried.push_back(rid);
+    } else {
+      ++fresh;
+    }
+  }
+  EXPECT_EQ(carried, oracle_carried);
+  EXPECT_EQ(fresh, oracle_fresh);
+  if (fresh > 0) ++tally->fresh_merges;
+}
+
+/// Seeded concurrent history: each round two sessions check out the
+/// latest version, edit it (sometimes adding an attribute or widening
+/// `score` to double first), and commit; the second one reconciles.
+void RunDifferentialHistory(core::DataModelType model, bool with_pk,
+                            uint64_t seed, DifferentialTally* tally) {
+  core::Cvd::Options opts;
+  opts.model = model;
+  if (with_pk) opts.primary_key = {"id"};
+  Table seed_table("seed", Schema({{"id", ValueType::kInt64},
+                                   {"name", ValueType::kString},
+                                   {"score", ValueType::kInt64}}));
+  for (int64_t id = 1; id <= 12; ++id) {
+    ORPHEUS_CHECK_OK(
+        seed_table.InsertRow({Value(id), Value("a"), Value(id % 3)}));
+  }
+  SessionManager manager(
+      core::Cvd::Init("t", seed_table, opts).MoveValueOrDie(), nullptr);
+  Xorshift rng(seed);
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const VersionId base = manager.watermark();
+    std::unique_ptr<Session> sessions[2] = {manager.Open(), manager.Open()};
+    for (auto& s : sessions) {
+      ASSERT_TRUE(s->Checkout({base}, "t").ok());
+      const Table& staged = *s->table("t");
+      const uint64_t schema_event = rng.Uniform(20);
+      if (schema_event == 0 && staged.schema().FindColumn("note") < 0) {
+        ASSERT_TRUE(
+            s->ReplaceStaging("t", Reshape(staged, "note", ValueType::kString))
+                .ok());
+      } else if (schema_event == 1 &&
+                 staged.schema().column(staged.schema().FindColumn("score"))
+                         .type == ValueType::kInt64) {
+        ASSERT_TRUE(
+            s->ReplaceStaging("t", Reshape(staged, "score", ValueType::kDouble))
+                .ok());
+      }
+      RandomEdits(s->table("t"), &rng);
+    }
+    auto first = sessions[0]->Commit("t", "first");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    auto out = sessions[1]->Commit("t", "second");
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->reconciled_with, first->vid);
+    ASSERT_TRUE(manager
+                    .ReadCvd([&](const core::Cvd& cvd) {
+                      CheckAgainstOracle(cvd, base, *out, tally);
+                      return Status::OK();
+                    })
+                    .ok());
+  }
+}
+
+class ReconcileDifferentialTest
+    : public SessionTest,
+      public ::testing::WithParamInterface<core::DataModelType> {};
+
+TEST_P(ReconcileDifferentialTest, DeltaPlanMatchesThreeMaterializeOracle) {
+  for (bool with_pk : {true, false}) {
+    DifferentialTally tally;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(StrFormat("pk=%d seed=%llu", with_pk ? 1 : 0,
+                             static_cast<unsigned long long>(seed)));
+      RunDifferentialHistory(GetParam(), with_pk, seed, &tally);
+    }
+    // The histories reach every branch the oracle distinguishes.
+    EXPECT_GT(tally.reconciled, 0);
+    if (with_pk) {
+      EXPECT_GT(tally.conflicted, 0);
+      EXPECT_GT(tally.fresh_merges, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ReconcileDifferentialTest,
+    ::testing::Values(core::DataModelType::kATablePerVersion,
+                      core::DataModelType::kCombinedTable,
+                      core::DataModelType::kSplitByVlist,
+                      core::DataModelType::kSplitByRlist,
+                      core::DataModelType::kDeltaBased),
+    [](const ::testing::TestParamInfo<core::DataModelType>& info) {
+      std::string name = core::DataModelTypeName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Work counters: reconcile cost follows the changed records, not |R|
+// ---------------------------------------------------------------------------
+
+TEST_F(SessionTest, ReconcileWorkIsIndependentOfVersionSize) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  Counter& materialized =
+      MetricsRegistry::Global().counter("cvd.checkout.records_materialized");
+  Counter& touched =
+      MetricsRegistry::Global().counter("session.reconcile.records_touched");
+  // The same concurrent edit over a version of `n` records: both sides
+  // modify, delete and add, and touch one key identically.
+  auto reconcile_work = [&](int64_t n) {
+    std::vector<std::pair<int64_t, std::string>> rows;
+    for (int64_t id = 1; id <= n; ++id) rows.emplace_back(id, "r");
+    SessionManager manager(MakeCvd(rows, PkOptions()), nullptr);
+    auto s1 = manager.Open();
+    auto s2 = manager.Open();
+    ORPHEUS_CHECK_OK(s1->Checkout({1}, "t"));
+    ORPHEUS_CHECK_OK(s2->Checkout({1}, "t"));
+    SetName(s1->table("t"), 2, "s1");
+    SetName(s1->table("t"), 3, "same");
+    DeleteKey(s1->table("t"), 4);
+    AddRow(s1->table("t"), n + 1, "x");
+    ORPHEUS_CHECK_OK(s1->Commit("t", "s1").status());
+    SetName(s2->table("t"), 5, "s2");
+    SetName(s2->table("t"), 3, "same");
+    DeleteKey(s2->table("t"), 6);
+    AddRow(s2->table("t"), n + 2, "y");
+    const uint64_t materialized_before = materialized.value();
+    const uint64_t touched_before = touched.value();
+    auto out = s2->Commit("t", "s2");
+    ORPHEUS_CHECK_OK(out.status());
+    EXPECT_TRUE(out->reconciled);
+    EXPECT_EQ(materialized.value(), materialized_before);
+    return touched.value() - touched_before;
+  };
+  const uint64_t small = reconcile_work(100);
+  const uint64_t large = reconcile_work(10000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
 }
 
 // ---------------------------------------------------------------------------
