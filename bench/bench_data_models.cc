@@ -14,7 +14,6 @@
 #include <unordered_set>
 
 #include "bench/bench_util.h"
-#include "common/ridset.h"
 #include "core/data_models.h"
 
 namespace orpheus::bench {
@@ -170,6 +169,12 @@ void Run(int argc, char** argv) {
     for (auto model : kModels) {
       std::cerr << "  " << core::DataModelTypeName(model) << "\n";
       Measurement m = Measure(model, ds);
+      // Exact bytes, so a snapshot diff shows any change to Figure 4.1(a).
+      MetricsRegistry::Global()
+          .gauge(StrFormat("bench.storage_bytes.%s.%s",
+                           named.paper_name.c_str(),
+                           core::DataModelTypeName(model)))
+          .Set(static_cast<int64_t>(m.storage_bytes));
       srow.push_back(HumanBytes(m.storage_bytes));
       mrow.push_back(HumanSeconds(m.commit_seconds));
       crow.push_back(HumanSeconds(m.checkout_seconds));
@@ -198,53 +203,6 @@ void Run(int argc, char** argv) {
   }
   std::cout << "\n=== Sec. 4.2: commit with 30% modified records ===\n";
   mod.Print(std::cout);
-
-  // Compressed membership index (ORPHEUS_RIDSET, same binary): the models
-  // whose versioning columns hold rlist/vlist arrays, measured with the
-  // gate off then on. Checkout is the paper's hot path; storage shows the
-  // bit-packed containers shrinking the versioning data.
-  const auto& rs_named = configs[2];  // SCI_5M
-  std::cerr << "regenerating " << rs_named.paper_name
-            << " for the ridset comparison...\n";
-  auto rs_ds = benchdata::VersionedDataset::Generate(rs_named.config);
-  TablePrinter ridset_table({"model", "checkout off", "checkout on",
-                             "speedup", "storage off", "storage on"});
-  for (auto model :
-       {DataModelType::kCombinedTable, DataModelType::kSplitByVlist,
-        DataModelType::kSplitByRlist, DataModelType::kDeltaBased}) {
-    std::cerr << "  " << core::DataModelTypeName(model) << " (off/on)\n";
-    SetRidSetEnabled(false);
-    Measurement off = Measure(model, rs_ds);
-    SetRidSetEnabled(true);
-    Measurement on = Measure(model, rs_ds);
-    double speedup =
-        off.checkout_seconds / std::max(1e-9, on.checkout_seconds);
-    ridset_table.AddRow({core::DataModelTypeName(model),
-                         HumanSeconds(off.checkout_seconds),
-                         HumanSeconds(on.checkout_seconds),
-                         StrFormat("%.2fx", speedup),
-                         HumanBytes(off.storage_bytes),
-                         HumanBytes(on.storage_bytes)});
-    // Dynamic names: direct registry handles instead of the literal-name
-    // macros.
-    auto& reg = MetricsRegistry::Global();
-    const std::string prefix =
-        StrFormat("bench.ridset.%s", core::DataModelTypeName(model));
-    reg.gauge(prefix + ".checkout_off_us")
-        .Set(static_cast<int64_t>(off.checkout_seconds * 1e6));
-    reg.gauge(prefix + ".checkout_on_us")
-        .Set(static_cast<int64_t>(on.checkout_seconds * 1e6));
-    reg.gauge(prefix + ".checkout_speedup_x100")
-        .Set(static_cast<int64_t>(speedup * 100));
-    reg.gauge(prefix + ".storage_off_bytes")
-        .Set(static_cast<int64_t>(off.storage_bytes));
-    reg.gauge(prefix + ".storage_on_bytes")
-        .Set(static_cast<int64_t>(on.storage_bytes));
-  }
-  std::cout << "\n=== Compressed membership index (ORPHEUS_RIDSET off vs "
-               "on, "
-            << rs_named.paper_name << ") ===\n";
-  ridset_table.Print(std::cout);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "common/ridset.h"
 #include "core/baselines.h"
 #include "core/lyresplit.h"
 
@@ -73,31 +72,6 @@ void SweepDataset(const NamedConfig& named, int checkout_samples) {
             << ", |R|=" << ds.num_distinct_records()
             << ", |E|=" << ds.num_bipartite_edges() << ") ===\n";
   table.Print(std::cout);
-
-  // Versioning-table footprint with the compressed membership index off
-  // vs on (same binary): one representative LyreSplit point per dataset.
-  {
-    auto r = core::LyreSplitWithDelta(graph, 0.1);
-    SetRidSetEnabled(false);
-    auto store_off = core::PartitionedStore::Build(accessor, r.partitioning);
-    const uint64_t off_bytes = store_off.VersioningBytes();
-    SetRidSetEnabled(true);
-    auto store_on = core::PartitionedStore::Build(accessor, r.partitioning);
-    const uint64_t on_bytes = store_on.VersioningBytes();
-    std::cout << "versioning tables (LyreSplit d=0.10): "
-              << HumanBytes(off_bytes) << " plain -> " << HumanBytes(on_bytes)
-              << " compressed ("
-              << StrFormat("%.2fx",
-                           static_cast<double>(off_bytes) /
-                               std::max<uint64_t>(1, on_bytes))
-              << " smaller)\n";
-    // Dynamic names: direct registry handles instead of the literal-name
-    // macros.
-    auto& reg = MetricsRegistry::Global();
-    const std::string prefix = "bench.ridset.versioning." + named.paper_name;
-    reg.gauge(prefix + ".off_bytes").Set(static_cast<int64_t>(off_bytes));
-    reg.gauge(prefix + ".on_bytes").Set(static_cast<int64_t>(on_bytes));
-  }
 }
 
 void Run(int argc, char** argv) {

@@ -1,11 +1,9 @@
 #include "common/ridset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/sync.h"
@@ -294,22 +292,7 @@ class BlobReader {
   size_t pos_ = 0;
 };
 
-std::atomic<int> g_ridset_enabled{-1};  // -1: not yet read from env
-
 }  // namespace
-
-bool RidSetEnabled() {
-  int v = g_ridset_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = ParseEnvBool("ORPHEUS_RIDSET", true) ? 1 : 0;
-    g_ridset_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void SetRidSetEnabled(bool enabled) {
-  g_ridset_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 RidSet RidSet::FromSorted(const std::vector<int64_t>& sorted_unique) {
   RidSet out;

@@ -134,12 +134,6 @@ class RidSet {
   mutable std::shared_ptr<const std::vector<int64_t>> materialized_;
 };
 
-/// Global gate for the compressed representation (checked at insert sites).
-/// Initialized from ORPHEUS_RIDSET (default on); SetRidSetEnabled overrides
-/// it programmatically so benches can compare both modes in one process.
-bool RidSetEnabled();
-void SetRidSetEnabled(bool enabled);
-
 }  // namespace orpheus
 
 #endif  // ORPHEUS_COMMON_RIDSET_H_

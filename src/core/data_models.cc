@@ -4,7 +4,6 @@
 #include <cassert>
 #include <unordered_set>
 
-#include "common/env.h"
 #include "common/ridset.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -589,46 +588,7 @@ Result<minidb::Table> DeltaBasedBackend::Checkout(
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
   // Trace the version lineage back to the root via `base` links, probing
   // each delta table for still-needed records (newer occurrences win).
-  // Membership lists are sorted, so large needed sets live as a compressed
-  // RidSet shrunk with set Difference per hop; the hash set remains for
-  // small memberships (each hop rebuilds the whole needed set, so below the
-  // crossover the per-hop Difference costs more than hash erasure saves)
-  // and as the ORPHEUS_RIDSET=0 fallback. Both probes visit rows in
-  // identical order, so the checked-out table is byte-identical.
-  static const size_t kRidSetMinMembership = static_cast<size_t>(
-      orpheus::ParseEnvInt("ORPHEUS_RIDSET_DELTA_MIN", 1 << 15, 0, 1 << 30));
   Table result(out, MaterializedSchema());
-  if (orpheus::RidSetEnabled() &&
-      membership_[vid].size() >= kRidSetMinMembership &&
-      std::is_sorted(membership_[vid].begin(), membership_[vid].end())) {
-    orpheus::RidSet needed = orpheus::RidSet::FromSorted(membership_[vid]);
-    int v = vid;
-    while (v >= 0 && !needed.empty()) {
-      const Delta& d = deltas_[v];
-      const auto& rids = d.inserts.column(0).int_data();
-      std::vector<uint32_t> rows = ParallelCollect<uint32_t>(
-          d.inserts.num_rows(), 1 << 15,
-          [&needed, &rids](size_t lo, size_t hi, std::vector<uint32_t>* hit) {
-            size_t hint = 0;
-            for (size_t r = lo; r < hi; ++r) {
-              if (needed.ContainsHint(rids[r], &hint)) {
-                hit->push_back(static_cast<uint32_t>(r));
-              }
-            }
-          });
-      std::vector<int64_t> found;
-      found.reserve(rows.size());
-      for (uint32_t r : rows) found.push_back(rids[r]);
-      std::sort(found.begin(), found.end());
-      needed = needed.Difference(orpheus::RidSet::FromSorted(found));
-      result.AppendFrom(d.inserts, rows);
-      v = d.base;
-    }
-    if (!needed.empty()) {
-      return Status::Corruption("delta chain did not cover the version");
-    }
-    return result;
-  }
   std::unordered_set<RecordId> needed(membership_[vid].begin(),
                                       membership_[vid].end());
   int v = vid;

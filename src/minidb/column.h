@@ -19,8 +19,8 @@ namespace orpheus::minidb {
 /// variant, which keeps paper-scale workloads in memory.
 ///
 /// kIntArray cells (the rlist/vlist versioning attributes) hold either a
-/// plain vector or a shared compressed RidSet (common/ridset.h). Appends of
-/// sorted-unique arrays compress automatically when RidSetEnabled(); callers
+/// plain vector or a shared compressed RidSet (common/ridset.h), chosen by
+/// the contents alone: appends of sorted-unique arrays compress; callers
 /// on the checkout hot path use GetRidSet() to operate on the compressed
 /// form directly, while GetIntArray() transparently materializes for legacy
 /// code.
@@ -153,12 +153,11 @@ class Column {
     std::shared_ptr<const orpheus::RidSet> set;
   };
 
-  /// Compress sorted-unique arrays at insert time when the gate is on.
+  /// Compress at insert time whenever RidSet::TryFromVector accepts the
+  /// contents (sorted, unique, at least 8 elements).
   static ArrayCell MakeArrayCell(std::vector<int64_t> v) {
-    if (orpheus::RidSetEnabled()) {
-      if (auto set = orpheus::RidSet::TryFromVector(v)) {
-        return ArrayCell{{}, std::move(set)};
-      }
+    if (auto set = orpheus::RidSet::TryFromVector(v)) {
+      return ArrayCell{{}, std::move(set)};
     }
     return ArrayCell{std::move(v), nullptr};
   }

@@ -62,20 +62,18 @@ SessionServer::~SessionServer() { Stop(); }
 
 void SessionServer::Stop() {
   if (stop_.exchange(true)) return;
+  // Wake the accept thread without releasing the fd it is polling; the
+  // listener is closed only once that thread is gone.
+  listener_.Shutdown();
+  accept_thread_.Join();
   listener_.Close();
   // Nudge every live connection so handlers parked in poll() wake now
-  // instead of at their next 250ms idle tick.
-  std::vector<std::shared_ptr<Socket>> socks;
-  {
-    MutexLock lock(&mu_);
-    socks.reserve(conns_.size());
-    for (auto& entry : conns_) socks.push_back(entry.second);
-  }
-  for (auto& sock : socks) sock->ShutdownBoth();
-  accept_thread_.Join();
+  // instead of at their next 250ms idle tick. Under mu_, so no handler
+  // can close its socket meanwhile (handlers leave conns_ before Close).
   std::vector<DedicatedThread> handlers;
   {
     MutexLock lock(&mu_);
+    for (auto& entry : conns_) entry.second->ShutdownBoth();
     handlers.swap(handler_threads_);
   }
   for (DedicatedThread& t : handlers) t.Join();
@@ -249,9 +247,11 @@ void SessionServer::HandleConnection(std::shared_ptr<Socket> sock,
     }
   }
 
+  {
+    MutexLock lock(&mu_);
+    conns_.erase(conn_id);
+  }
   sock->Close();
-  MutexLock lock(&mu_);
-  conns_.erase(conn_id);
 }
 
 // ---------------------------------------------------------------------------

@@ -336,6 +336,10 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
+void Listener::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
     // shutdown() first so a thread parked in poll(fd_) wakes immediately.

@@ -97,6 +97,10 @@ class Listener {
   bool valid() const { return fd_ >= 0; }
   const std::string& address() const { return address_; }
 
+  /// Wake a thread parked in Accept (it returns an error) without
+  /// releasing the fd, so it is safe to call while that thread runs.
+  /// Close() once the accepting thread has been joined.
+  void Shutdown();
   void Close();
 
  private:

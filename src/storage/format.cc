@@ -271,16 +271,13 @@ Result<std::vector<int64_t>> GetRawRids(Decoder* dec) {
 
 Result<minidb::Value> DecodeIntArray(Decoder* dec) {
   // Peek the rid-list tag: packed blobs become compressed cells without a
-  // decompression round-trip when the gate is on.
+  // decompression round-trip.
   const uint64_t tag_offset = dec->file_offset();
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t packed, dec->GetU8());
   if (packed == 1) {
     ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
     ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
-    if (RidSetEnabled()) {
-      return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
-    }
-    return minidb::Value(set.ToVector());
+    return minidb::Value(std::make_shared<const RidSet>(std::move(set)));
   }
   if (packed != 0) {
     return Status::DataLoss(StrFormat(
@@ -352,30 +349,12 @@ Result<core::AttributeInfo> DecodeAttributeInfo(Decoder* dec) {
   return attr;
 }
 
-/// Logical-clock fields: i64 at format v3+, IEEE double at v2 (DESIGN.md
-/// §10.2). Every v2 clock value is a whole number produced by `+= 1.0`, so
-/// the narrowing cast on read is exact.
-void PutClock(core::LogicalTime t, Encoder* enc, uint32_t version) {
-  if (version >= 3) {
-    enc->PutI64(t);
-  } else {
-    enc->PutDouble(static_cast<double>(t));
-  }
-}
-
-Result<core::LogicalTime> GetClock(Decoder* dec, uint32_t version) {
-  if (version >= 3) return dec->GetI64();
-  ORPHEUS_ASSIGN_OR_RETURN(double t, dec->GetDouble());
-  return static_cast<core::LogicalTime>(t);
-}
-
-void EncodeMetadata(const core::VersionMetadata& meta, Encoder* enc,
-                    uint32_t version) {
+void EncodeMetadata(const core::VersionMetadata& meta, Encoder* enc) {
   enc->PutI32(meta.vid);
   enc->PutU32(static_cast<uint32_t>(meta.parents.size()));
   for (core::VersionId p : meta.parents) enc->PutI32(p);
-  PutClock(meta.checkout_time, enc, version);
-  PutClock(meta.commit_time, enc, version);
+  enc->PutI64(meta.checkout_time);
+  enc->PutI64(meta.commit_time);
   enc->PutString(meta.message);
   enc->PutString(meta.author);
   enc->PutU32(static_cast<uint32_t>(meta.attributes.size()));
@@ -383,7 +362,7 @@ void EncodeMetadata(const core::VersionMetadata& meta, Encoder* enc,
   enc->PutI64(meta.num_records);
 }
 
-Result<core::VersionMetadata> DecodeMetadata(Decoder* dec, uint32_t version) {
+Result<core::VersionMetadata> DecodeMetadata(Decoder* dec) {
   core::VersionMetadata meta;
   ORPHEUS_ASSIGN_OR_RETURN(meta.vid, dec->GetI32());
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents, dec->GetU32());
@@ -392,8 +371,8 @@ Result<core::VersionMetadata> DecodeMetadata(Decoder* dec, uint32_t version) {
     ORPHEUS_ASSIGN_OR_RETURN(core::VersionId p, dec->GetI32());
     meta.parents.push_back(p);
   }
-  ORPHEUS_ASSIGN_OR_RETURN(meta.checkout_time, GetClock(dec, version));
-  ORPHEUS_ASSIGN_OR_RETURN(meta.commit_time, GetClock(dec, version));
+  ORPHEUS_ASSIGN_OR_RETURN(meta.checkout_time, dec->GetI64());
+  ORPHEUS_ASSIGN_OR_RETURN(meta.commit_time, dec->GetI64());
   ORPHEUS_ASSIGN_OR_RETURN(meta.message, dec->GetString());
   ORPHEUS_ASSIGN_OR_RETURN(meta.author, dec->GetString());
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs, dec->GetU32());
@@ -436,8 +415,7 @@ Result<core::NewRecord> DecodeNewRecord(Decoder* dec) {
 
 }  // namespace
 
-void EncodeCvdState(const core::CvdState& state, Encoder* enc,
-                    uint32_t version) {
+void EncodeCvdState(const core::CvdState& state, Encoder* enc) {
   enc->PutString(state.name);
   enc->PutU8(static_cast<uint8_t>(state.model));
   enc->PutU32(static_cast<uint32_t>(state.primary_key.size()));
@@ -449,10 +427,10 @@ void EncodeCvdState(const core::CvdState& state, Encoder* enc,
   enc->PutU32(static_cast<uint32_t>(state.current_attr_ids.size()));
   for (int id : state.current_attr_ids) enc->PutI32(id);
   enc->PutI64(state.next_rid);
-  PutClock(state.logical_clock, enc, version);
+  enc->PutI64(state.logical_clock);
   const uint32_t num_versions = static_cast<uint32_t>(state.metadata.size());
   enc->PutU32(num_versions);
-  for (const auto& meta : state.metadata) EncodeMetadata(meta, enc, version);
+  for (const auto& meta : state.metadata) EncodeMetadata(meta, enc);
   for (uint32_t v = 0; v < num_versions; ++v) {
     enc->PutU32(static_cast<uint32_t>(state.version_parents[v].size()));
     for (int p : state.version_parents[v]) enc->PutI32(p);
@@ -465,7 +443,7 @@ void EncodeCvdState(const core::CvdState& state, Encoder* enc,
   }
 }
 
-Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
+Result<core::CvdState> DecodeCvdState(Decoder* dec) {
   core::CvdState state;
   ORPHEUS_ASSIGN_OR_RETURN(state.name, dec->GetString());
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t model, dec->GetU8());
@@ -496,12 +474,11 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
     state.current_attr_ids.push_back(id);
   }
   ORPHEUS_ASSIGN_OR_RETURN(state.next_rid, dec->GetI64());
-  ORPHEUS_ASSIGN_OR_RETURN(state.logical_clock, GetClock(dec, version));
+  ORPHEUS_ASSIGN_OR_RETURN(state.logical_clock, dec->GetI64());
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_versions, dec->GetU32());
   state.metadata.reserve(num_versions);
   for (uint32_t i = 0; i < num_versions; ++i) {
-    ORPHEUS_ASSIGN_OR_RETURN(core::VersionMetadata meta,
-                             DecodeMetadata(dec, version));
+    ORPHEUS_ASSIGN_OR_RETURN(core::VersionMetadata meta, DecodeMetadata(dec));
     state.metadata.push_back(std::move(meta));
   }
   state.version_parents.resize(num_versions);
@@ -531,8 +508,7 @@ Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version) {
   return state;
 }
 
-void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc,
-                        uint32_t version) {
+void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc) {
   enc->PutI32(record.vid);
   enc->PutU32(static_cast<uint32_t>(record.parents.size()));
   for (core::VersionId p : record.parents) enc->PutI32(p);
@@ -540,7 +516,7 @@ void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc,
   EncodeRidList(record.rids, enc);
   enc->PutU32(static_cast<uint32_t>(record.new_records.size()));
   for (const auto& rec : record.new_records) EncodeNewRecord(rec, enc);
-  EncodeMetadata(record.metadata, enc, version);
+  EncodeMetadata(record.metadata, enc);
   enc->PutU32(static_cast<uint32_t>(record.new_attributes.size()));
   for (const auto& attr : record.new_attributes) EncodeAttributeInfo(attr, enc);
   enc->PutU32(static_cast<uint32_t>(record.current_attr_ids.size()));
@@ -548,11 +524,10 @@ void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc,
   enc->PutU32(static_cast<uint32_t>(record.schema_after.size()));
   for (const auto& col : record.schema_after) EncodeColumnDef(col, enc);
   enc->PutI64(record.next_rid_after);
-  PutClock(record.logical_clock_after, enc, version);
+  enc->PutI64(record.logical_clock_after);
 }
 
-Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
-                                                 uint32_t version) {
+Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec) {
   core::CvdCommitRecord record;
   ORPHEUS_ASSIGN_OR_RETURN(record.vid, dec->GetI32());
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_parents, dec->GetU32());
@@ -573,7 +548,7 @@ Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
     ORPHEUS_ASSIGN_OR_RETURN(core::NewRecord rec, DecodeNewRecord(dec));
     record.new_records.push_back(std::move(rec));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(record.metadata, DecodeMetadata(dec, version));
+  ORPHEUS_ASSIGN_OR_RETURN(record.metadata, DecodeMetadata(dec));
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t num_attrs, dec->GetU32());
   record.new_attributes.reserve(num_attrs);
   for (uint32_t i = 0; i < num_attrs; ++i) {
@@ -594,7 +569,7 @@ Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
     record.schema_after.push_back(std::move(col));
   }
   ORPHEUS_ASSIGN_OR_RETURN(record.next_rid_after, dec->GetI64());
-  ORPHEUS_ASSIGN_OR_RETURN(record.logical_clock_after, GetClock(dec, version));
+  ORPHEUS_ASSIGN_OR_RETURN(record.logical_clock_after, dec->GetI64());
   return record;
 }
 

@@ -17,22 +17,13 @@ namespace orpheus::storage {
 /// length-prefixed and CRC32C-checksummed so corruption is detected at the
 /// frame that contains it, with a byte offset in the error.
 
-/// Version 2: rid lists (version membership and kIntArray values) are
-/// stored as tagged payloads — raw i64 lists for short or unsorted arrays,
-/// packed RidSet chunk blobs (common/ridset.h) otherwise — instead of one
-/// fixed-width i64 per element.
-///
-/// Version 3: logical-clock fields (CvdState.logical_clock, the metadata
-/// checkout/commit timestamps, CvdCommitRecord.logical_clock_after) are
-/// i64 instead of IEEE doubles (a double silently loses increments past
-/// 2^53). The domain codecs below take the file's format version and
-/// dual-read: v2 files decode the old double fields and convert (every v2
-/// clock is a whole number, so the cast is exact). Writers opened on a v2
-/// file keep appending v2-encoded records so the file stays self-
-/// consistent; the first checkpoint rewrites everything at v3.
+/// Version 3 is the only format: rid lists (version membership and
+/// kIntArray values) are tagged payloads — raw i64 lists for short or
+/// unsorted arrays, packed RidSet chunk blobs (common/ridset.h) otherwise —
+/// and logical-clock fields are i64. Readers accept exactly kFormatVersion
+/// and refuse every other version with DataLoss; the v2 format (double
+/// clocks, zero header checksum) is no longer readable.
 inline constexpr uint32_t kFormatVersion = 3;
-/// Oldest format version the readers still understand.
-inline constexpr uint32_t kMinFormatVersion = 2;
 
 /// CRC32C (Castagnoli, the checksum RocksDB/ext4/iSCSI use).
 /// Crc32c("123456789") == 0xE3069283. Computed with the SSE4.2 `crc32`
@@ -44,11 +35,9 @@ uint32_t Crc32c(std::string_view data);
 /// Crc32c(a + b), and Crc32cExtend(0, a) == Crc32c(a).
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
 
-/// Checksum of a snapshot/WAL file header (magic | version | seq). Stored
-/// in the header's formerly-reserved u32 at v3+, so a bit flip anywhere in
-/// the header — including one that rewrites the version into another
-/// accepted value — is caught before the payload is decoded with the wrong
-/// rules. v2 writers always put 0 there; readers enforce exactly that.
+/// Checksum of a snapshot/WAL file header (magic | version | seq), stored
+/// in the header's u32 after the version, so a bit flip anywhere in the
+/// header is caught before the payload is decoded.
 uint32_t HeaderCrc(std::string_view magic, uint32_t version, uint64_t seq);
 
 // ---------------------------------------------------------------------------
@@ -159,34 +148,25 @@ Status ReadFrame(std::string_view data, uint64_t base_offset, size_t* pos,
 // Domain encoding
 // ---------------------------------------------------------------------------
 
-/// The domain codecs are parameterized on the container file's format
-/// version (read from the snapshot/WAL header): clock fields are i64 at
-/// v3+, doubles at v2. Encoders accept an old version so a writer
-/// appending to a v2 WAL keeps the file uniform.
-void EncodeCvdState(const core::CvdState& state, Encoder* enc,
-                    uint32_t version = kFormatVersion);
-Result<core::CvdState> DecodeCvdState(Decoder* dec, uint32_t version);
+void EncodeCvdState(const core::CvdState& state, Encoder* enc);
+Result<core::CvdState> DecodeCvdState(Decoder* dec);
 
-void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc,
-                        uint32_t version = kFormatVersion);
-Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec,
-                                                 uint32_t version);
+void EncodeCommitRecord(const core::CvdCommitRecord& record, Encoder* enc);
+Result<core::CvdCommitRecord> DecodeCommitRecord(Decoder* dec);
 
 void EncodeValue(const minidb::Value& value, Encoder* enc);
 Result<minidb::Value> DecodeValue(Decoder* dec);
 
 /// A kIntArray value without EncodeValue's type tag: the rid-list payload
 /// below, with compressed cells written from their packed form directly.
-/// Decoding yields a compressed cell for packed blobs when the RidSet gate
-/// is on.
+/// Decoding yields a compressed cell for every packed blob.
 void EncodeIntArray(const minidb::Value& value, Encoder* enc);
 Result<minidb::Value> DecodeIntArray(Decoder* dec);
 
 /// Rid-list payload: u8 tag — 0 = raw (u32 count + i64 each, the defensive
 /// encoding for short or non-sorted-unique lists), 1 = packed RidSet chunk
 /// blob. The choice is a deterministic function of the list contents, so
-/// the bytes written do not depend on the in-memory representation (or on
-/// ORPHEUS_RIDSET).
+/// the bytes written do not depend on the in-memory representation.
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc);
 Result<std::vector<int64_t>> DecodeRidList(Decoder* dec);
 

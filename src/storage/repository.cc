@@ -248,11 +248,8 @@ Result<std::unique_ptr<Repository>> Repository::Open(const std::string& dir) {
               {"valid_bytes",
                static_cast<unsigned long long>(state.wal.valid_bytes)}});
   }
-  // The reopened writer keeps appending at the file's own format version;
-  // the first checkpoint rewrites everything at kFormatVersion.
   ORPHEUS_ASSIGN_OR_RETURN(
-      WalWriter wal, WalWriter::Open(state.wal_path, state.wal.valid_bytes,
-                                     state.wal.version));
+      WalWriter wal, WalWriter::Open(state.wal_path, state.wal.valid_bytes));
   ORPHEUS_COUNTER_ADD("storage.wal.replayed_records",
                       state.wal.records.size());
   LOG_INFO("repository opened",

@@ -63,22 +63,17 @@ Result<SnapshotContents> ReadSnapshot(const std::string& path) {
       std::string_view(data).substr(kMagicSize, kHeaderSize - kMagicSize),
       kMagicSize);
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     return Status::DataLoss(StrFormat(
-        "%s: unsupported snapshot format version %u (expected %u..%u) at "
-        "offset %zu",
-        path.c_str(), version, kMinFormatVersion, kFormatVersion, kMagicSize));
+        "%s: unsupported snapshot format version %u (this build reads only "
+        "version %u; format v2 is no longer readable) at offset %zu",
+        path.c_str(), version, kFormatVersion, kMagicSize));
   }
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t header_crc, header.GetU32());
   SnapshotContents contents;
-  contents.version = version;
   ORPHEUS_ASSIGN_OR_RETURN(contents.seq, header.GetU64());
-  // v3+ stores a header checksum where v2 always wrote 0; both rules catch
-  // flips that rewrite the version into the other accepted value.
   const uint32_t want_crc =
-      version >= 3 ? HeaderCrc({kSnapshotMagic, kMagicSize}, version,
-                               contents.seq)
-                   : 0;
+      HeaderCrc({kSnapshotMagic, kMagicSize}, version, contents.seq);
   if (header_crc != want_crc) {
     return Status::DataLoss(StrFormat(
         "%s: snapshot header checksum mismatch (got %08x, want %08x) at "
@@ -111,7 +106,7 @@ Result<SnapshotContents> ReadSnapshot(const std::string& path) {
     switch (frame.type) {
       case FrameType::kCvdState: {
         Decoder dec(frame.payload, frame.offset + kFrameHeaderSize);
-        auto state = DecodeCvdState(&dec, version);
+        auto state = DecodeCvdState(&dec);
         if (!state.ok()) {
           return Status::DataLoss(StrFormat(
               "%s: %s", path.c_str(), state.status().message().c_str()));

@@ -15,8 +15,8 @@ namespace orpheus::storage {
 /// the repository at checkpoint sequence `seq`.
 ///
 /// Layout:
-///   16-byte header: magic "ORPHSNP1" | u32 format version | u32 reserved
-///   u64 checkpoint sequence number
+///   24-byte header: magic "ORPHSNP1" | u32 format version (exactly
+///   kFormatVersion) | u32 header CRC32C | u64 checkpoint sequence number
 ///   one kCvdState frame per CVD
 ///   one kFooter frame: u32 CVD count (detects a truncated frame sequence
 ///   that happens to end on a frame boundary)
@@ -29,9 +29,6 @@ inline constexpr char kSnapshotMagic[] = "ORPHSNP1";  // 8 bytes, no NUL
 
 struct SnapshotContents {
   uint64_t seq = 0;
-  /// Format version read from the header (kMinFormatVersion..kFormatVersion;
-  /// new snapshots are always written at kFormatVersion).
-  uint32_t version = 0;
   std::vector<core::CvdState> cvds;
 };
 

@@ -23,18 +23,18 @@ std::string EncodeHeader(uint64_t seq) {
   return header;
 }
 
-Result<WalRecord> DecodeWalFrame(const Frame& frame, uint32_t version) {
+Result<WalRecord> DecodeWalFrame(const Frame& frame) {
   Decoder dec(frame.payload, frame.offset + kFrameHeaderSize);
   switch (frame.type) {
     case FrameType::kWalCreate: {
       WalCreateRecord rec;
-      ORPHEUS_ASSIGN_OR_RETURN(rec.state, DecodeCvdState(&dec, version));
+      ORPHEUS_ASSIGN_OR_RETURN(rec.state, DecodeCvdState(&dec));
       return WalRecord(std::move(rec));
     }
     case FrameType::kWalCommit: {
       WalCommitRecord rec;
       ORPHEUS_ASSIGN_OR_RETURN(rec.cvd, dec.GetString());
-      ORPHEUS_ASSIGN_OR_RETURN(rec.record, DecodeCommitRecord(&dec, version));
+      ORPHEUS_ASSIGN_OR_RETURN(rec.record, DecodeCommitRecord(&dec));
       return WalRecord(std::move(rec));
     }
     case FrameType::kWalDrop: {
@@ -50,16 +50,16 @@ Result<WalRecord> DecodeWalFrame(const Frame& frame, uint32_t version) {
   }
 }
 
-std::string EncodeWalFrame(const WalRecord& record, uint32_t version) {
+std::string EncodeWalFrame(const WalRecord& record) {
   std::string out;
   if (const auto* create = std::get_if<WalCreateRecord>(&record)) {
     Encoder enc;
-    EncodeCvdState(create->state, &enc, version);
+    EncodeCvdState(create->state, &enc);
     AppendFrame(&out, FrameType::kWalCreate, enc.data());
   } else if (const auto* commit = std::get_if<WalCommitRecord>(&record)) {
     Encoder enc;
     enc.PutString(commit->cvd);
-    EncodeCommitRecord(commit->record, &enc, version);
+    EncodeCommitRecord(commit->record, &enc);
     AppendFrame(&out, FrameType::kWalCommit, enc.data());
   } else {
     Encoder enc;
@@ -92,19 +92,16 @@ Result<WalContents> ReadWal(const std::string& path) {
       std::string_view(data).substr(kMagicSize, kHeaderSize - kMagicSize),
       kMagicSize);
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t version, header.GetU32());
-  if (version < kMinFormatVersion || version > kFormatVersion) {
+  if (version != kFormatVersion) {
     return Status::DataLoss(StrFormat(
-        "%s: unsupported WAL format version %u (expected %u..%u)",
-        path.c_str(), version, kMinFormatVersion, kFormatVersion));
+        "%s: unsupported WAL format version %u (this build reads only "
+        "version %u; format v2 is no longer readable)",
+        path.c_str(), version, kFormatVersion));
   }
-  contents.version = version;
   ORPHEUS_ASSIGN_OR_RETURN(uint32_t header_crc, header.GetU32());
   ORPHEUS_ASSIGN_OR_RETURN(contents.seq, header.GetU64());
-  // v3+ stores a header checksum where v2 always wrote 0; both rules catch
-  // flips that rewrite the version into the other accepted value.
   const uint32_t want_crc =
-      version >= 3 ? HeaderCrc({kWalMagic, kMagicSize}, version, contents.seq)
-                   : 0;
+      HeaderCrc({kWalMagic, kMagicSize}, version, contents.seq);
   if (header_crc != want_crc) {
     return Status::DataLoss(StrFormat(
         "%s: WAL header checksum mismatch (got %08x, want %08x)",
@@ -125,7 +122,7 @@ Result<WalContents> ReadWal(const std::string& path) {
       contents.torn_tail = true;
       break;
     }
-    auto record = DecodeWalFrame(frame, version);
+    auto record = DecodeWalFrame(frame);
     if (!record.ok()) {
       return Status::DataLoss(StrFormat("%s: %s", path.c_str(),
                                         record.status().message().c_str()));
@@ -142,18 +139,17 @@ Result<WalWriter> WalWriter::Create(const std::string& path, uint64_t seq) {
   ORPHEUS_RETURN_NOT_OK(file.Append(EncodeHeader(seq)));
   ORPHEUS_FAILPOINT("storage.wal.create.sync");
   ORPHEUS_RETURN_NOT_OK(file.Sync());
-  return WalWriter(std::move(file), kFormatVersion);
+  return WalWriter(std::move(file));
 }
 
-Result<WalWriter> WalWriter::Open(const std::string& path, uint64_t offset,
-                                  uint32_t version) {
+Result<WalWriter> WalWriter::Open(const std::string& path, uint64_t offset) {
   ORPHEUS_ASSIGN_OR_RETURN(FileWriter file, FileWriter::OpenAt(path, offset));
-  return WalWriter(std::move(file), version);
+  return WalWriter(std::move(file));
 }
 
 Status WalWriter::Append(const WalRecord& record) {
   ORPHEUS_TRACE_SPAN("storage.wal.append");
-  const std::string frame = EncodeWalFrame(record, version_);
+  const std::string frame = EncodeWalFrame(record);
   ORPHEUS_FAILPOINT("storage.wal.append.frame");
   ORPHEUS_RETURN_NOT_OK(file_.Append(frame));
   ORPHEUS_FAILPOINT("storage.wal.append.sync");
@@ -170,7 +166,7 @@ Status WalWriter::AppendBatch(const std::vector<WalRecord>& records) {
   std::string frames;
   size_t first_frame_bytes = 0;
   for (const WalRecord& record : records) {
-    frames.append(EncodeWalFrame(record, version_));
+    frames.append(EncodeWalFrame(record));
     if (first_frame_bytes == 0) first_frame_bytes = frames.size();
   }
 #if ORPHEUS_FAILPOINTS_ENABLED

@@ -15,8 +15,9 @@
 namespace orpheus::storage {
 
 /// Write-ahead log (DESIGN.md §10.4). One WAL file per checkpoint epoch:
-///   16-byte header: magic "ORPHWAL1" | u32 format version | u32 reserved
-///   u64 checkpoint sequence (must match the live snapshot's)
+///   24-byte header: magic "ORPHWAL1" | u32 format version (exactly
+///   kFormatVersion) | u32 header CRC32C | u64 checkpoint sequence (must
+///   match the live snapshot's)
 ///   zero or more frames, each one durable record:
 ///     kWalCreate: CvdState of a freshly initialized CVD
 ///     kWalCommit: cvd name + CvdCommitRecord
@@ -45,8 +46,6 @@ using WalRecord = std::variant<WalCreateRecord, WalCommitRecord, WalDropRecord>;
 
 struct WalContents {
   uint64_t seq = 0;
-  /// Format version read from the header (kMinFormatVersion..kFormatVersion).
-  uint32_t version = 0;
   std::vector<WalRecord> records;
   /// True when the final frame was interrupted mid-append; `valid_bytes`
   /// is the prefix length holding only whole, verified frames — the caller
@@ -63,15 +62,11 @@ Result<WalContents> ReadWal(const std::string& path);
 /// commits through it).
 class WalWriter {
  public:
-  /// Create a fresh WAL for checkpoint epoch `seq` (header written+synced,
-  /// always at the current kFormatVersion).
+  /// Create a fresh WAL for checkpoint epoch `seq` (header written+synced).
   static Result<WalWriter> Create(const std::string& path, uint64_t seq);
   /// Reopen an existing WAL for appending at `offset` (bytes past it — a
-  /// torn tail found by ReadWal — are truncated away first). `version` is
-  /// the format version ReadWal found in the header: appended records are
-  /// encoded at that version so the file stays self-consistent.
-  static Result<WalWriter> Open(const std::string& path, uint64_t offset,
-                                uint32_t version = kFormatVersion);
+  /// torn tail found by ReadWal — are truncated away first).
+  static Result<WalWriter> Open(const std::string& path, uint64_t offset);
 
   /// Serialize, append, and fsync one record. On failure the WAL's durable
   /// contents are unchanged or hold a torn tail that replay truncates —
@@ -90,14 +85,11 @@ class WalWriter {
   Status Close() { return file_.Close(); }
   uint64_t offset() const { return file_.offset(); }
   const std::string& path() const { return file_.path(); }
-  uint32_t version() const { return version_; }
 
  private:
-  WalWriter(FileWriter file, uint32_t version)
-      : file_(std::move(file)), version_(version) {}
+  explicit WalWriter(FileWriter file) : file_(std::move(file)) {}
 
   FileWriter file_;
-  uint32_t version_ = kFormatVersion;
 };
 
 }  // namespace orpheus::storage

@@ -295,16 +295,5 @@ TEST(RidSet, ValidateDetectsCorruption) {
   }
 }
 
-TEST(RidSet, GateControls) {
-  bool initial = RidSetEnabled();
-  SetRidSetEnabled(false);
-  EXPECT_FALSE(RidSetEnabled());
-  EXPECT_EQ(RidSet::TryFromVector({1, 2, 3, 4, 5, 6, 7, 8}) != nullptr,
-            true);  // TryFromVector itself is not gated; callers gate.
-  SetRidSetEnabled(true);
-  EXPECT_TRUE(RidSetEnabled());
-  SetRidSetEnabled(initial);
-}
-
 }  // namespace
 }  // namespace orpheus

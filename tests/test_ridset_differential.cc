@@ -1,14 +1,12 @@
-// Differential tests for the compressed version-membership index: every
-// versioning operation must produce identical results with ORPHEUS_RIDSET
-// off (plain i64 rlist/vlist vectors, the legacy representation) and on
-// (compressed RidSet cells probed in place). The gate changes the physical
-// representation and the checkout kernel — never the answer or the bytes
-// that reach disk.
+// Ground-truth tests for the compressed version-membership index: every
+// data model and the partitioned store must check out exactly the records
+// and payloads the generated dataset defines, whichever representation
+// (plain i64 or compressed RidSet cell) each rid list ended up in; and
+// the bytes that reach disk must not depend on that representation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,21 +22,6 @@
 
 namespace orpheus::core {
 namespace {
-
-// The delta backend only takes the compressed chain path above a membership
-// crossover; the test datasets sit below it, so lower the threshold to zero
-// (must land before the first checkout caches the parsed value).
-const bool kForceDeltaRidSetPath = [] {
-  ::setenv("ORPHEUS_RIDSET_DELTA_MIN", "0", /*overwrite=*/1);
-  return true;
-}();
-
-/// Restores the previous gate state on scope exit so one failing test
-/// cannot leak a disabled gate into the rest of the suite.
-struct GateGuard {
-  bool saved = RidSetEnabled();
-  ~GateGuard() { SetRidSetEnabled(saved); }
-};
 
 struct Fixture {
   benchdata::VersionedDataset ds;
@@ -77,6 +60,32 @@ std::vector<int64_t> Flatten(const minidb::Table& t) {
   return out;
 }
 
+/// A checked-out table as (rid, payload...) rows in rid order.
+std::vector<std::vector<int64_t>> SortedRows(const minidb::Table& t) {
+  std::vector<std::vector<int64_t>> rows(t.num_rows());
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      rows[r].push_back(t.column(static_cast<int>(c)).GetInt(r));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The representation-free reference: version `v` as the dataset defines
+/// it, (rid, payload...) rows in rid order.
+std::vector<std::vector<int64_t>> ExpectedRows(
+    const benchdata::VersionedDataset& ds, int v) {
+  std::vector<std::vector<int64_t>> rows;
+  for (RecordId rid : ds.version(v).records) {
+    std::vector<int64_t> row{rid};
+    for (int64_t x : ds.RecordPayload(rid)) row.push_back(x);
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 minidb::Row PayloadRow(const benchdata::VersionedDataset& ds, RecordId rid) {
   minidb::Row row;
   for (int64_t v : ds.RecordPayload(rid)) row.emplace_back(v);
@@ -113,60 +122,39 @@ const DataModelType kAllModels[] = {
     DataModelType::kDeltaBased,
 };
 
-TEST(RidSetDifferential, BackendCheckoutIdenticalOffVsOn) {
-  GateGuard guard;
+TEST(RidSetDifferential, BackendCheckoutMatchesDataset) {
   Fixture f;
   for (DataModelType model : kAllModels) {
-    SetRidSetEnabled(false);
-    auto off = BuildBackend(model, f.ds);
-    SetRidSetEnabled(true);
-    auto on = BuildBackend(model, f.ds);
-    for (int v : {0, 7, f.ds.num_versions() / 2, f.ds.num_versions() - 1}) {
-      auto t_off = off->Checkout(v, "off");
-      auto t_on = on->Checkout(v, "on");
-      ASSERT_TRUE(t_off.ok()) << t_off.status().ToString();
-      ASSERT_TRUE(t_on.ok()) << t_on.status().ToString();
-      EXPECT_EQ(Flatten(*t_off), Flatten(*t_on))
-          << DataModelTypeName(model) << " v" << v;
-    }
-    // VersionRecords (the commit/diff membership source) must agree too.
+    auto backend = BuildBackend(model, f.ds);
     for (int v = 0; v < f.ds.num_versions(); ++v) {
-      auto r_off = off->VersionRecords(v);
-      auto r_on = on->VersionRecords(v);
-      ASSERT_TRUE(r_off.ok() && r_on.ok());
-      EXPECT_EQ(r_off.ValueOrDie(), r_on.ValueOrDie())
+      auto t = backend->Checkout(v, "out");
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_EQ(SortedRows(*t), ExpectedRows(f.ds, v))
+          << DataModelTypeName(model) << " v" << v;
+      // VersionRecords (the commit/diff membership source) must agree too.
+      auto rids = backend->VersionRecords(v);
+      ASSERT_TRUE(rids.ok()) << rids.status().ToString();
+      EXPECT_EQ(rids.ValueOrDie(), f.ds.version(v).records)
           << DataModelTypeName(model) << " v" << v;
     }
   }
 }
 
-TEST(RidSetDifferential, PartitionedStoreCheckoutIdenticalOffVsOn) {
-  GateGuard guard;
+TEST(RidSetDifferential, PartitionedStoreCheckoutMatchesDataset) {
   Fixture f;
   Partitioning plan =
       LyreSplitForBudget(
           f.graph, 2 * static_cast<uint64_t>(f.ds.num_distinct_records()))
           .partitioning;
-
-  SetRidSetEnabled(false);
-  PartitionedStore store_off = PartitionedStore::Build(f.accessor, plan);
-  SetRidSetEnabled(true);
-  PartitionedStore store_on = PartitionedStore::Build(f.accessor, plan);
-
+  PartitionedStore store = PartitionedStore::Build(f.accessor, plan);
   for (int v = 0; v < f.ds.num_versions(); ++v) {
-    auto t_off = store_off.Checkout(v);
-    auto t_on = store_on.Checkout(v);
-    ASSERT_TRUE(t_off.ok()) << t_off.status().ToString();
-    ASSERT_TRUE(t_on.ok()) << t_on.status().ToString();
-    EXPECT_EQ(Flatten(*t_off), Flatten(*t_on)) << "v" << v;
+    auto t = store.Checkout(v);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(SortedRows(*t), ExpectedRows(f.ds, v)) << "v" << v;
   }
-  // The compressed rlists must cost no more than the plain vectors.
-  EXPECT_LE(store_on.VersioningBytes(), store_off.VersioningBytes());
 }
 
 TEST(RidSetDifferential, CheckoutDeterministicAcrossPoolDegrees) {
-  GateGuard guard;
-  SetRidSetEnabled(true);
   Fixture f;
   Partitioning plan =
       LyreSplitForBudget(
@@ -184,11 +172,10 @@ TEST(RidSetDifferential, CheckoutDeterministicAcrossPoolDegrees) {
   }
 }
 
-TEST(RidSetDifferential, EncodedValueBytesIndependentOfGate) {
-  GateGuard guard;
-  // A versioning cell holding the same rid list, stored compressed (gate
-  // on) and plain (gate off), must serialize to identical bytes: snapshots
-  // and WAL records cannot depend on the in-memory representation.
+TEST(RidSetDifferential, EncodedValueBytesIndependentOfRepresentation) {
+  // A versioning cell holding the same rid list, stored compressed and
+  // plain, must serialize to identical bytes: snapshots and WAL records
+  // cannot depend on the in-memory representation.
   std::vector<int64_t> rids;
   for (int i = 0; i < 10000; ++i) rids.push_back(i * 3 + 100);
 
@@ -203,15 +190,13 @@ TEST(RidSetDifferential, EncodedValueBytesIndependentOfGate) {
   storage::EncodeValue(compressed, &enc_set);
   EXPECT_EQ(enc_plain.data(), enc_set.data());
 
-  // Decode under both gate settings: same logical value either way.
-  for (bool on : {false, true}) {
-    SetRidSetEnabled(on);
-    storage::Decoder dec(enc_plain.data());
-    auto back = storage::DecodeValue(&dec);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back.ValueOrDie().AsIntArray(), rids) << "gate=" << on;
-    EXPECT_TRUE(dec.AtEnd());
-  }
+  // The packed blob decodes straight to a compressed cell.
+  storage::Decoder dec(enc_plain.data());
+  auto back = storage::DecodeValue(&dec);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_NE(back.ValueOrDie().TryRidSet(), nullptr);
+  EXPECT_EQ(back.ValueOrDie().AsIntArray(), rids);
+  EXPECT_TRUE(dec.AtEnd());
 
   // Short or unsorted lists take the raw encoding and roundtrip too.
   for (const std::vector<int64_t>& raw :
@@ -257,10 +242,9 @@ TEST(RidSetDifferential, UnsortedPlainRlistStillCheckoutCorrect) {
   if (orpheus::ValidationEnabled()) {
     GTEST_SKIP() << "validate mode rejects unsorted rlists at build time";
   }
-  GateGuard guard;
-  // With the gate off, AddVersion keeps whatever order the accessor hands
-  // out; the store must remember that sortedness was broken.
-  SetRidSetEnabled(false);
+  // Unsorted lists stay plain (RidSet::TryFromVector refuses them), so
+  // AddVersion keeps whatever order the accessor hands out; the store must
+  // remember that sortedness was broken.
   Fixture f;
   // Accessor that reverses every rlist (sorted ascending -> descending).
   std::vector<std::vector<RecordId>> reversed(f.ds.num_versions());

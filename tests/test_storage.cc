@@ -360,7 +360,7 @@ TEST(FormatTest, CvdStateRoundtripPreservesCheckouts) {
   EncodeCvdState(state, &enc);
   std::string data = enc.Take();
   Decoder dec(data);
-  auto decoded = DecodeCvdState(&dec, kFormatVersion);
+  auto decoded = DecodeCvdState(&dec);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(dec.AtEnd());
   core::CvdState got = decoded.MoveValueOrDie();
@@ -388,7 +388,7 @@ TEST(FormatTest, CommitRecordRoundtripReplaysIdentically) {
   EncodeCommitRecord(captured, &enc);
   std::string data = enc.Take();
   Decoder dec(data);
-  auto decoded = DecodeCommitRecord(&dec, kFormatVersion);
+  auto decoded = DecodeCommitRecord(&dec);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(dec.AtEnd());
   core::CvdCommitRecord got = decoded.MoveValueOrDie();
@@ -407,10 +407,11 @@ TEST(FormatTest, CommitRecordRoundtripReplaysIdentically) {
   EXPECT_EQ(CheckoutCsv(replayed.get(), {2}), CheckoutCsv(cvd.get(), {2}));
 }
 
-TEST(FormatTest, V2RepositoryStaysReadableAndAppendable) {
-  // Hand-build a format-v2 repository (double-typed logical clocks): a v2
-  // snapshot holding the CVD and an empty v2 WAL. Existing repositories
-  // written before the v3 bump must keep working end to end.
+TEST(FormatTest, V2RepositoryIsRefusedCleanly) {
+  // Hand-build a format-v2 repository: a v2 snapshot holding the CVD and an
+  // empty v2 WAL, both with the zero header word v2 writers put there. The
+  // readers accept only kFormatVersion, so the header refuses the files
+  // before any payload is decoded.
   const std::string dir = MakeTempDir();
   auto cvd = MakeCvdWithTwoVersions();
   auto state = cvd->ExportState().MoveValueOrDie();
@@ -422,7 +423,7 @@ TEST(FormatTest, V2RepositoryStaysReadableAndAppendable) {
     std::string data(kSnapshotMagic, 8);
     data.append(header.data());
     Encoder enc;
-    EncodeCvdState(state, &enc, /*version=*/2);
+    EncodeCvdState(state, &enc);
     AppendFrame(&data, FrameType::kCvdState, enc.data());
     Encoder footer;
     footer.PutU32(1);
@@ -440,50 +441,38 @@ TEST(FormatTest, V2RepositoryStaysReadableAndAppendable) {
   }
   ASSERT_TRUE(WriteFileAtomic(dir + "/CURRENT", "snapshot-1\n", true).ok());
 
-  // Dual-read: fsck and open accept v2, and the converted clocks are exact.
-  ASSERT_TRUE(Repository::Fsck(dir).ok());
-  auto repo = Repository::Open(dir).MoveValueOrDie();
-  auto cvds = repo->TakeCvds();
-  ASSERT_EQ(cvds.size(), 1u);
-  core::Cvd* t = cvds[0].get();
-  EXPECT_EQ(t->num_versions(), 2);
-  EXPECT_EQ(t->version_metadata(2).commit_time,
-            cvd->version_metadata(2).commit_time);
-  EXPECT_EQ(CheckoutCsv(t, {1}), CheckoutCsv(cvd.get(), {1}));
-  EXPECT_EQ(CheckoutCsv(t, {2}), CheckoutCsv(cvd.get(), {2}));
+  auto dir_contents = [&dir] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const std::string& name : ListDir(dir).MoveValueOrDie()) {
+      files.emplace_back(name,
+                         ReadFileToString(dir + "/" + name).MoveValueOrDie());
+    }
+    return files;
+  };
+  const auto before = dir_contents();
+  auto expect_refused = [](const Status& s, const std::string& file) {
+    EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+    EXPECT_NE(s.message().find(file), std::string::npos) << s.ToString();
+    EXPECT_NE(s.message().find("format version 2"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("no longer readable"), std::string::npos)
+        << s.ToString();
+  };
 
-  // A writer reopened on the v2 WAL appends v2-encoded records so the file
-  // stays self-consistent.
-  Repository* raw = repo.get();
-  t->set_commit_observer([raw](const core::CvdCommitRecord& record) {
-    return raw->LogCommit("t", record);
-  });
-  auto v3 = t->CommitTable(V3Table(), {2}, "v3", "tester");
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  const std::string golden3 = CheckoutCsv(t, {3});
-  repo.reset();
+  auto fsck = Repository::Fsck(dir);
+  ASSERT_FALSE(fsck.ok());
+  expect_refused(fsck.status(), "snapshot-1");
+  auto repo = Repository::Open(dir);
+  ASSERT_FALSE(repo.ok());
+  expect_refused(repo.status(), "snapshot-1");
+  auto wal = ReadWal(dir + "/wal-1");
+  ASSERT_FALSE(wal.ok());
+  expect_refused(wal.status(), "wal-1");
 
-  auto wal1 = ReadWal(dir + "/wal-1");
-  ASSERT_TRUE(wal1.ok()) << wal1.status().ToString();
-  EXPECT_EQ(wal1->version, 2u);
-  ASSERT_EQ(wal1->records.size(), 1u);
-
-  auto again = Repository::Open(dir).MoveValueOrDie();
-  auto cvds2 = again->TakeCvds();
-  ASSERT_EQ(cvds2.size(), 1u);
-  EXPECT_EQ(cvds2[0]->num_versions(), 3);
-  EXPECT_EQ(CheckoutCsv(cvds2[0].get(), {3}), golden3);
-
-  // The first checkpoint rewrites the whole epoch at the current version.
-  std::vector<const core::Cvd*> ptrs = {cvds2[0].get()};
-  ASSERT_TRUE(again->Checkpoint(ptrs).ok());
-  again.reset();
-  auto snap = ReadSnapshot(dir + "/snapshot-2");
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->version, kFormatVersion);
-  auto wal2 = ReadWal(dir + "/wal-2");
-  ASSERT_TRUE(wal2.ok()) << wal2.status().ToString();
-  EXPECT_EQ(wal2->version, kFormatVersion);
+  // Refusal is read-only: nothing was truncated, rewritten or created.
+  EXPECT_EQ(dir_contents(), before);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 // ---------------------------------------------------------------------------

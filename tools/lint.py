@@ -64,12 +64,18 @@ raw-file-write
 
 ridset-decompress
     GetIntArray() / AsIntArray() inside src/ outside the RidSet
-    infrastructure and the sanctioned legacy-fallback sites. These calls
+    infrastructure and the sanctioned plain-view sites. These calls
     materialize a compressed rlist/vlist cell into a plain vector; on the
     checkout hot path that silently undoes the membership-index
     compression. Probe in place instead (Contains/ContainsHint,
-    IntersectToRows, JoinRidSet) or, for a genuine legacy path, add the
+    IntersectToRows, JoinRidSet) or, for a genuine plain-view path, add the
     file to the allowlist with a comment saying why.
+
+env-knob
+    A ParseEnv*/RawEnv/getenv read inside src/ (outside common/env.*) of an
+    environment variable not in ENV_KNOBS, or with a name that is not a
+    string literal. Every knob doubles a test matrix, so adding one has to
+    be a deliberate edit of the inventory below.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -133,7 +139,8 @@ RAW_FILE_WRITE_ALLOWED_PREFIX = "src/storage/"
 # Decompression of versioning array cells. Allowed only where the plain
 # view is the point: the RidSet/Value/Column plumbing itself, the codec's
 # raw fallback, the validator (which checks the materialized view against
-# the compressed one), and the gated ORPHEUS_RIDSET=0 legacy joins.
+# the compressed one), and the joins over rid lists that stay plain by
+# content (short or unsorted lists; split-by-vlist's per-row vlists).
 RIDSET_DECOMPRESS = re.compile(r"\b(?:GetIntArray|AsIntArray)\s*\(")
 RIDSET_DECOMPRESS_ALLOWED = (
     "src/minidb/column.h", "src/minidb/column.cc", "src/minidb/value.h",
@@ -142,9 +149,22 @@ RIDSET_DECOMPRESS_ALLOWED = (
     "src/core/data_models.cc",
 )
 
+# The complete inventory of environment variables src/ may read.
+ENV_KNOBS = frozenset((
+    "ORPHEUS_METRICS", "ORPHEUS_TRACE", "ORPHEUS_TRACE_BUFFER",
+    "ORPHEUS_SLOW_OP_MS", "ORPHEUS_LOG", "ORPHEUS_LOG_FILE",
+    "ORPHEUS_LOG_FORMAT", "ORPHEUS_VALIDATE", "ORPHEUS_THREADS",
+    "ORPHEUS_FAILPOINTS", "ORPHEUS_FAILPOINT_SEED", "ORPHEUS_DEADLOCK_DEBUG",
+))
+ENV_READ = re.compile(
+    r"(?<![A-Za-z0-9_])(?:ParseEnv[A-Za-z]*|RawEnv|(?:std::)?getenv)"
+    r"\s*\(\s*(\"[^\"]*\")?")
+ENV_READ_ALLOWED = ("src/common/env.h", "src/common/env.cc")
 
-def strip_comments_and_strings(text):
-    """Blank out comments and string/char literals, preserving line breaks."""
+
+def strip_comments_and_strings(text, keep_strings=False):
+    """Blank out comments and (unless keep_strings) string/char literals,
+    preserving line breaks."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -160,6 +180,7 @@ def strip_comments_and_strings(text):
                 i += 1
             i = min(i + 2, n)
         elif c in "\"'":
+            start = i
             quote = c
             i += 1
             while i < n and text[i] != quote:
@@ -169,6 +190,8 @@ def strip_comments_and_strings(text):
                     break
                 i += 1
             i += 1
+            if keep_strings:
+                out.append(text[start:i])
         else:
             out.append(c)
             i += 1
@@ -241,6 +264,22 @@ def lint_file(rel, violations):
                  "GetIntArray/AsIntArray decompresses a versioning cell; "
                  "probe the RidSet in place (ContainsHint, IntersectToRows, "
                  "JoinRidSet) or extend the allowlist"))
+
+    if rel.startswith("src/") and rel not in ENV_READ_ALLOWED:
+        with_strings = strip_comments_and_strings(raw, keep_strings=True)
+        for m in ENV_READ.finditer(with_strings):
+            lineno = with_strings[:m.start()].count("\n") + 1
+            name = m.group(1)[1:-1] if m.group(1) else None
+            if name is None:
+                violations.append(
+                    (rel, lineno, "env-knob",
+                     "environment read with a non-literal name; spell the "
+                     "variable out so the knob inventory can check it"))
+            elif name not in ENV_KNOBS:
+                violations.append(
+                    (rel, lineno, "env-knob",
+                     "%s is not in the ENV_KNOBS inventory (tools/lint.py); "
+                     "add a knob only on purpose" % name))
 
     if rel.startswith("src/") and rel.endswith(".h"):
         guard = expected_guard(rel)

@@ -5,9 +5,9 @@
 #
 # Usage: tools/run_benches.sh [build_dir]   (default: build)
 #
-# The committed BENCH_*.json files carry the compressed-membership-index
-# comparison gauges (bench.ridset.*): checkout time and versioning bytes
-# with ORPHEUS_RIDSET off vs on, measured in one process from one binary.
+# The committed BENCH_*.json files carry work counters, timing gauges and,
+# in BENCH_data_models.json, the exact Figure 4.1(a) storage bytes per
+# dataset and data model (bench.storage_bytes.*).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
