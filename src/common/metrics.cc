@@ -285,8 +285,6 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-thread_local TraceSpan* TraceSpan::current_ = nullptr;
-
 TraceSpan::~TraceSpan() {
   if (!active_) return;
   const uint64_t elapsed = timer_.ElapsedMicros();

@@ -252,7 +252,10 @@ class TraceSpan {
 
  private:
   static constexpr size_t kMaxPath = 160;
-  static thread_local TraceSpan* current_;
+  // Defined inline with its constant initializer, so every translation
+  // unit accesses it directly rather than through GCC's TLS wrapper
+  // function, whose result UBSan's null check misreads (DESIGN.md §7).
+  static inline thread_local TraceSpan* current_ = nullptr;
 
   /// Per-name direct-child wall time, accumulated only while the slow-op
   /// log is enabled; a closing top-level span over the threshold renders

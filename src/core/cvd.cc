@@ -59,6 +59,12 @@ Value WidenStoredValue(const Value& v, ValueType to) {
   return v;
 }
 
+// One step of the typed key-tuple hash shared by the commit planner's
+// staged keys and the key index's stored keys.
+size_t CombineKeyHash(size_t h, const Value& cell) {
+  return (h * 0x100000001B3ULL) ^ minidb::KeyHash(cell);
+}
+
 // A table row addressed for key identity.
 struct KeyedRow {
   const Table* table;
@@ -86,9 +92,7 @@ class RowKeyOf {
   }
   size_t operator()(const KeyedRow& r) const {
     size_t h = 0;
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      h = (h * 0x100000001B3ULL) ^ minidb::KeyHash(Cell(r, i));
-    }
+    for (size_t i = 0; i < cols_.size(); ++i) h = CombineKeyHash(h, Cell(r, i));
     return h;
   }
   bool operator()(const KeyedRow& a, const KeyedRow& b) const {
@@ -303,8 +307,17 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
                                    const std::vector<VersionId>& parents,
                                    const std::string& message,
                                    const std::string& author,
-                                   LogicalTime checkout_time) {
+                                   LogicalTime checkout_time,
+                                   const std::vector<RecordId>& carried) {
   for (VersionId p : parents) ORPHEUS_RETURN_NOT_OK(ValidateVersion(p));
+  for (size_t i = 0; i < carried.size(); ++i) {
+    if (carried[i] < 0 || carried[i] >= next_rid_ ||
+        (i > 0 && carried[i] <= carried[i - 1])) {
+      return Status::InvalidArgument(StrFormat(
+          "commit to %s carries an unknown, repeated or unsorted record %lld",
+          name_.c_str(), static_cast<long long>(carried[i])));
+    }
+  }
 
   ORPHEUS_TRACE_SPAN("cvd.commit");
   ORPHEUS_COUNTER_ADD("cvd.commit.rows_scanned", table.num_rows());
@@ -323,20 +336,51 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   const int parent_hint = parents.empty() ? -1 : DenseId(parents[0]);
 
   // The primary key's staging columns, keyed as the record will store them.
+  const std::vector<int> pk_attrs = PrimaryKeyAttrs();
   std::vector<int> pk_cols;
   std::vector<ValueType> pk_types;
-  for (const auto& pk : options_.primary_key) {
-    for (size_t k = 0; k < num_attrs; ++k) {
-      if (plan.schema_after[k].name == pk) {
-        pk_cols.push_back(col_of_attr[k]);
-        pk_types.push_back(plan.schema_after[k].type);
-        break;
-      }
-    }
+  for (int k : pk_attrs) {
+    pk_cols.push_back(col_of_attr[k]);
+    pk_types.push_back(plan.schema_after[k].type);
   }
   const RowKeyOf pk_of(std::move(pk_cols), std::move(pk_types));
-  RowKeySet pk_seen(options_.primary_key.empty() ? 0 : table.num_rows() * 2,
-                    pk_of, pk_of);
+  RowKeySet pk_seen(pk_attrs.empty() ? 0 : table.num_rows() * 2, pk_of,
+                    pk_of);
+
+  // Shipped keys must also differ from every carried record's key. The key
+  // index hashes stored keys at their current type, so a changeset may not
+  // widen a key attribute (a legitimate client ships the whole table, and
+  // so carries nothing, whenever its schema differs from its checkout's).
+  const bool probe_carried = !pk_attrs.empty() && !carried.empty();
+  if (probe_carried) {
+    for (int k : pk_attrs) {
+      if (plan.schema_after[k].type != backend_->data_schema().column(k).type) {
+        return Status::InvalidArgument(StrFormat(
+            "commit to %s widens primary-key attribute %s while carrying "
+            "records; ship every row instead",
+            name_.c_str(), plan.schema_after[k].name.c_str()));
+      }
+    }
+    ORPHEUS_RETURN_NOT_OK(EnsureKeyIndex());
+  }
+  auto carries_key = [&](uint32_t r) {
+    ORPHEUS_COUNTER_ADD("cvd.commit.key_index.probes", 1);
+    auto bucket = key_index_.find(pk_of({&table, r}));
+    if (bucket == key_index_.end()) return false;
+    for (RecordId rid : bucket->second) {
+      if (!std::binary_search(carried.begin(), carried.end(), rid)) continue;
+      auto at = backend_->LocateRecord(rid, parent_hint);
+      if (!at) continue;
+      bool equal = true;
+      for (size_t i = 0; i < pk_attrs.size() && equal; ++i) {
+        equal = minidb::KeyEquals(
+            pk_of.Cell({&table, r}, i),
+            at->table->GetValue(at->row, backend_->PayloadColumn(pk_attrs[i])));
+      }
+      if (equal) return true;
+    }
+    return false;
+  };
 
   // Stored records compare against staged rows in place. A column whose
   // staged and stored cells already have the planned type compares typed
@@ -380,25 +424,33 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   rids.reserve(table.num_rows());
   std::vector<NewRecord> new_records;
   RecordId next_rid = next_rid_;
+  // Stored rids kept from shipped rows: one bit per stored record, so the
+  // check stays a load even when every row of a large table is kept.
+  std::vector<bool> kept(static_cast<size_t>(next_rid_), false);
 
   for (uint32_t r = 0; r < table.num_rows(); ++r) {
     // Primary-key constraint within the committed version.
-    if (!options_.primary_key.empty() && !pk_seen.insert({&table, r}).second) {
+    if (!pk_attrs.empty() &&
+        (!pk_seen.insert({&table, r}).second ||
+         (probe_carried && carries_key(r)))) {
       return Status::ConstraintViolation(StrFormat(
           "duplicate primary key in commit of %s: %s", table.name().c_str(),
           minidb::RenderKey(pk_of.Key({&table, r})).c_str()));
     }
     // Modification detection (no cross-version diff rule): a row carrying a
     // rid is kept iff its payload still matches the stored record; anything
-    // else becomes a new immutable record.
+    // else becomes a new immutable record. A version holds a stored record
+    // at most once, so a repeat of a kept or carried rid is new as well.
     RecordId rid = -1;
     if (has_rid_col && !table.column(0).IsNull(r)) {
       rid = table.column(0).GetInt(r);
     }
-    if (rid >= 0 && rid < next_rid_) {
+    if (rid >= 0 && rid < next_rid_ && !kept[rid] &&
+        !std::binary_search(carried.begin(), carried.end(), rid)) {
       auto at = backend_->LocateRecord(rid, parent_hint);
       if (at && matches_stored(r, *at)) {
         rids.push_back(rid);
+        kept[rid] = true;
         continue;
       }
     }
@@ -417,6 +469,12 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   }
 
   std::sort(rids.begin(), rids.end());
+  if (!carried.empty()) {
+    std::vector<RecordId> all(rids.size() + carried.size());
+    std::merge(rids.begin(), rids.end(), carried.begin(), carried.end(),
+               all.begin());
+    rids = std::move(all);
+  }
   // new_records were assigned increasing rids in row order => sorted already.
   ORPHEUS_COUNTER_ADD("cvd.commit.records_new", new_records.size());
   ORPHEUS_COUNTER_ADD("cvd.commit.records_kept",
@@ -433,44 +491,57 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   return FinishCommit(std::move(record), message, author, checkout_time);
 }
 
-Result<VersionId> Cvd::CommitMembership(const std::vector<VersionId>& parents,
-                                        std::vector<RecordId> carried,
-                                        std::vector<Row> fresh,
-                                        const std::string& message,
-                                        const std::string& author) {
-  for (VersionId p : parents) ORPHEUS_RETURN_NOT_OK(ValidateVersion(p));
-  ORPHEUS_TRACE_SPAN("cvd.commit");
-  const size_t width = backend_->data_schema().num_columns();
-  std::sort(carried.begin(), carried.end());
-  for (size_t i = 0; i < carried.size(); ++i) {
-    if (carried[i] < 0 || carried[i] >= next_rid_ ||
-        (i > 0 && carried[i] == carried[i - 1])) {
-      return Status::InvalidArgument(StrFormat(
-          "membership commit to %s carries unknown or repeated record %lld",
-          name_.c_str(), static_cast<long long>(carried[i])));
+std::vector<int> Cvd::PrimaryKeyAttrs() const {
+  std::vector<int> attrs;
+  for (const auto& pk : options_.primary_key) {
+    const int k = backend_->data_schema().FindColumn(pk);
+    if (k >= 0) attrs.push_back(k);
+  }
+  return attrs;
+}
+
+Status Cvd::EnsureKeyIndex() {
+  if (key_index_built_) return Status::OK();
+  ORPHEUS_TRACE_SPAN("cvd.key_index.build");
+  const std::vector<int> pk_attrs = PrimaryKeyAttrs();
+  // Every stored record belongs to at least one version; visit each once,
+  // located in a version that holds it.
+  std::vector<bool> seen(static_cast<size_t>(next_rid_), false);
+  uint64_t indexed = 0;
+  for (int v = 0; v < backend_->num_versions(); ++v) {
+    ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                             backend_->VersionRecords(v));
+    for (RecordId rid : rids) {
+      if (seen[rid]) continue;
+      seen[rid] = true;
+      auto at = backend_->LocateRecord(rid, v);
+      if (!at) {
+        return Status::Corruption(StrFormat(
+            "record %lld of version %d of CVD %s is not stored",
+            static_cast<long long>(rid), PublicId(v), name_.c_str()));
+      }
+      size_t h = 0;
+      for (int k : pk_attrs) {
+        h = CombineKeyHash(
+            h, at->table->GetValue(at->row, backend_->PayloadColumn(k)));
+      }
+      key_index_[h].push_back(rid);
+      ++indexed;
     }
   }
-  CvdCommitRecord record;
-  record.parents = parents;
-  record.rids = std::move(carried);
-  RecordId next_rid = next_rid_;
-  for (Row& payload : fresh) {
-    if (payload.size() != width) {
-      return Status::InvalidArgument(StrFormat(
-          "membership commit to %s: payload of %zu attributes, schema has %zu",
-          name_.c_str(), payload.size(), width));
-    }
-    record.rids.push_back(next_rid);
-    record.new_records.push_back(NewRecord{next_rid++, std::move(payload)});
+  ORPHEUS_COUNTER_ADD("cvd.key_index.records_indexed", indexed);
+  key_index_built_ = true;
+  return Status::OK();
+}
+
+void Cvd::IndexCommitRecord(const CvdCommitRecord& record) {
+  if (!key_index_built_) return;
+  const std::vector<int> pk_attrs = PrimaryKeyAttrs();
+  for (const NewRecord& fresh : record.new_records) {
+    size_t h = 0;
+    for (int k : pk_attrs) h = CombineKeyHash(h, fresh.data[k]);
+    key_index_[h].push_back(fresh.rid);
   }
-  // Fresh rids exceed every stored one, so the list stays sorted.
-  ORPHEUS_COUNTER_ADD("cvd.commit.records_new", record.new_records.size());
-  ORPHEUS_COUNTER_ADD("cvd.commit.records_kept",
-                      record.rids.size() - record.new_records.size());
-  record.current_attr_ids = current_attr_ids_;
-  record.schema_after = backend_->data_schema().columns();
-  record.next_rid_after = next_rid;
-  return FinishCommit(std::move(record), message, author, /*checkout_time=*/0);
 }
 
 Result<VersionId> Cvd::FinishCommit(CvdCommitRecord record,
@@ -743,6 +814,15 @@ Status Cvd::ApplyCommitRecord(const CvdCommitRecord& record) {
         "commit record for version %d of CVD %s narrows the schema",
         record.vid, name_.c_str()));
   }
+  for (int k : PrimaryKeyAttrs()) {
+    if (key_index_built_ &&
+        record.schema_after[k].type != backend_->data_schema().column(k).type) {
+      // A widened key attribute changes every stored key's type: rebuild
+      // lazily at the next probe.
+      key_index_.clear();
+      key_index_built_ = false;
+    }
+  }
   for (size_t k = 0; k < have; ++k) {
     const ColumnDef& want = record.schema_after[k];
     if (backend_->data_schema().column(k).type != want.type) {
@@ -766,6 +846,7 @@ Status Cvd::ApplyCommitRecord(const CvdCommitRecord& record) {
                                              dense_parents));
   graph_.AddVersion(dense_parents, record.parent_weights,
                     static_cast<int64_t>(record.rids.size()));
+  IndexCommitRecord(record);
   metadata_.push_back(record.metadata);
   attributes_.insert(attributes_.end(), record.new_attributes.begin(),
                      record.new_attributes.end());

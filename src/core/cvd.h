@@ -140,27 +140,24 @@ class Cvd {
 
   /// Commit a free-standing materialized table (schema: data attributes,
   /// optionally preceded by a `_rid` column) with explicit parent versions.
-  /// Used by `init`-style imports and the bench harnesses. `checkout_time`
-  /// is recorded in the version metadata (0 = unknown; Commit passes the
-  /// staged checkout timestamp).
+  /// Used by `init`-style imports, the session layer and the bench
+  /// harnesses. `checkout_time` is recorded in the version metadata (0 =
+  /// unknown; Commit passes the staged checkout timestamp).
+  ///
+  /// `carried` (sorted, unique, stored rids) are records the version keeps
+  /// without shipping them: the rows a changeset left out because they are
+  /// unchanged, or the records a reconcile merge carries forward. They are
+  /// included without being scanned, so `table` holds only the rows that
+  /// changed or are new, and the commit record is the one a full-table
+  /// commit of the carried rows plus `table` would log. Primary-key checks
+  /// touch the shipped keys only: unique among themselves, and none equal
+  /// to a carried record's key (answered by the key index).
   Result<VersionId> CommitTable(const minidb::Table& table,
                                 const std::vector<VersionId>& parents,
                                 const std::string& message,
                                 const std::string& author = "",
-                                LogicalTime checkout_time = 0);
-
-  /// Commit a version given by membership instead of by a table: the
-  /// stored records `carried` (any order, each at most once) plus `fresh`
-  /// payloads (data attributes at the current schema width) stored as new
-  /// records, rids assigned in order. No schema evolution. The session
-  /// reconcile's merge commit: its cost is the changed records plus the
-  /// membership lists, not a pass over a materialized table. Shares the
-  /// observer -> apply phases (and so the WAL record) with CommitTable.
-  Result<VersionId> CommitMembership(const std::vector<VersionId>& parents,
-                                     std::vector<RecordId> carried,
-                                     std::vector<minidb::Row> fresh,
-                                     const std::string& message,
-                                     const std::string& author = "");
+                                LogicalTime checkout_time = 0,
+                                const std::vector<RecordId>& carried = {});
 
   /// Payload of stored record `rid` (data attributes at the current schema
   /// width), looked up from version `in`, which should contain it.
@@ -261,6 +258,13 @@ class Cvd {
 
   void RegisterAttribute(const std::string& attr_name, minidb::ValueType type);
 
+  /// Positions of the primary-key attributes in the data schema.
+  std::vector<int> PrimaryKeyAttrs() const;
+  /// Build the key index over every stored record, if not built yet.
+  Status EnsureKeyIndex();
+  /// Add a stored commit's new records to a built key index.
+  void IndexCommitRecord(const CvdCommitRecord& record);
+
   std::string name_;
   Options options_;
   std::unique_ptr<DataModelBackend> backend_;
@@ -279,6 +283,13 @@ class Cvd {
   };
   std::unordered_map<std::string, StagingInfo> staging_;
   CommitObserver commit_observer_;
+  // Primary-key index over every stored record: typed-key hash -> rids
+  // with that hash (candidates; a probe verifies each with
+  // minidb::KeyEquals). Built on the first commit that carries records,
+  // kept in step by ApplyCommitRecord, and dropped when a primary-key
+  // attribute is widened (the stored keys change type).
+  bool key_index_built_ = false;
+  std::unordered_map<size_t, std::vector<RecordId>> key_index_;
 };
 
 }  // namespace orpheus::core

@@ -124,10 +124,17 @@ Status ATablePerVersionBackend::AddVersion(
     }
     vtab.AppendFrom(ptab, rows);
   }
-  if (!remaining.empty()) {
-    return Status::Corruption(
-        StrFormat("%zu records of v%d not found in parents or new records",
-                  remaining.size(), vid));
+  // A stored rid a commit kept from outside its parents is copied from the
+  // version that stores it (rid order keeps the layout deterministic).
+  for (RecordId rid : rids) {
+    if (remaining.count(rid) == 0) continue;
+    std::optional<RecordLocation> at = LocateRecord(rid, -1);
+    if (!at) {
+      return Status::Corruption(StrFormat(
+          "record %lld of v%d not found in any version or new records",
+          static_cast<long long>(rid), vid));
+    }
+    vtab.AppendFrom(*at->table, {at->row});
   }
   for (const auto& nr : new_records) AppendRidRow(&vtab, nr.rid, nr.data);
   ORPHEUS_RETURN_NOT_OK(vtab.BuildUniqueIntIndex(0));
@@ -552,23 +559,23 @@ Status DeltaBasedBackend::AddVersion(int vid, const std::vector<RecordId>& rids,
       AppendRidRow(&delta.inserts, rid, *it->second);
       continue;
     }
-    // The record came from a non-base parent (merge): fetch its payload
-    // through that parent's chain.
-    bool found = false;
+    // The record is stored outside the base's chain (a merge parent's, or
+    // a stored rid a commit kept from another version): locate it, trying
+    // a non-base parent's chain first.
+    int hint = -1;
     for (int p : parents) {
-      if (p == base) continue;
-      auto payload = GetRecordPayload(rid, p);
-      if (payload.ok()) {
-        AppendRidRow(&delta.inserts, rid, *payload);
-        found = true;
+      if (p != base) {
+        hint = p;
         break;
       }
     }
-    if (!found) {
+    auto payload = GetRecordPayload(rid, hint);
+    if (!payload.ok()) {
       return Status::Corruption(
           StrFormat("payload for rid %lld unavailable",
                     static_cast<long long>(rid)));
     }
+    AppendRidRow(&delta.inserts, rid, *payload);
   }
   ORPHEUS_RETURN_NOT_OK(delta.inserts.BuildUniqueIntIndex(0));
   deltas_.push_back(std::move(delta));

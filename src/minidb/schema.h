@@ -37,6 +37,22 @@ class Schema {
     return -1;
   }
 
+  /// Where each of this schema's columns sits in `other`, when the two hold
+  /// the same named, typed columns in any order; empty when they differ in
+  /// anything else (a column added, dropped, renamed, retyped or repeated).
+  std::vector<int> ColumnOrderIn(const Schema& other) const {
+    if (cols_.empty() || cols_.size() != other.num_columns()) return {};
+    std::vector<int> order;
+    std::vector<bool> taken(cols_.size(), false);
+    for (const ColumnDef& col : cols_) {
+      const int at = other.FindColumn(col.name);
+      if (at < 0 || taken[at] || !(other.column(at) == col)) return {};
+      taken[at] = true;
+      order.push_back(at);
+    }
+    return order;
+  }
+
   void AddColumn(ColumnDef col) { cols_.push_back(std::move(col)); }
 
   void SetColumnType(size_t i, ValueType type) { cols_[i].type = type; }

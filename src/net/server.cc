@@ -310,7 +310,7 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
       resp = HandleCheckout(rs, req);
       break;
     case Op::kCommit:
-      resp = HandleCommit(rs, &req);
+      resp = HandleCommit(rs, req);
       break;
     case Op::kRefresh:
       resp = HandleRefresh(rs, req);
@@ -326,8 +326,13 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
       break;
   }
   // Encode while the session is still claimed: a checkout reply reads the
-  // session's staged table in place instead of a private copy.
+  // session's staged table in place instead of a private copy. Once it is
+  // encoded, the staged checkout keeps only its parents and rids — the
+  // client's commit ships a changeset against those.
   std::string encoded = EncodeResponse(resp);
+  if (req.op == Op::kCheckout && resp.ok()) {
+    ORPHEUS_CHECK_OK(rs->session->DropStagedRows(req.table_name));
+  }
   ReleaseSession(rs);
   // A commit's FINAL verdict (success or definitive error) enters the
   // replay window; a durability timeout does not — the retry must resume
@@ -442,11 +447,10 @@ Response SessionServer::HandleCheckout(RemoteSession* rs,
   resp.request_seq = req.request_seq;
   resp.op = req.op;
   session::Session* session = rs->session.get();
-  // Idempotent re-checkout: a retry after a lost response finds the table
-  // already staged — discard and redo rather than failing "exists". The
-  // commit path ships the full table anyway, so a discarded server copy
-  // loses nothing.
-  if (session->table(req.table_name) != nullptr) {
+  // Idempotent re-checkout: a retry after a lost response finds the
+  // checkout already staged — discard and redo rather than failing
+  // "exists". Redoing it stages the same rids the client's base holds.
+  if (session->CheckoutParents(req.table_name) != nullptr) {
     Status discarded = session->DiscardStaging(req.table_name);
     if (!discarded.ok()) {
       resp.SetStatus(discarded, false);
@@ -464,10 +468,11 @@ Response SessionServer::HandleCheckout(RemoteSession* rs,
   return resp;
 }
 
-Response SessionServer::HandleCommit(RemoteSession* rs, Request* req) {
+Response SessionServer::HandleCommit(RemoteSession* rs,
+                                     const Request& req) {
   Response resp;
-  resp.request_seq = req->request_seq;
-  resp.op = req->op;
+  resp.request_seq = req.request_seq;
+  resp.op = req.op;
   session::SessionManager& mgr = *managers_.at(rs->cvd);
   if (CommitsRefused(mgr)) {
     // Graceful degradation: a distinct, deliberately NON-retryable verdict
@@ -483,13 +488,19 @@ Response SessionServer::HandleCommit(RemoteSession* rs, Request* req) {
     return resp;
   }
 
+  if (req.table == nullptr) {
+    resp.SetStatus(
+        Status::InvalidArgument("commit request carries no changeset"),
+        false);
+    return resp;
+  }
   session::Session* session = rs->session.get();
-  const std::string& table_name = req->table_name;
+  const std::string& table_name = req.table_name;
   bool resumed = false;
   if (session->HasPendingCommit(table_name)) {
     auto pending = rs->pending_commit_seqs.find(table_name);
     if (pending == rs->pending_commit_seqs.end() ||
-        pending->second != req->request_seq) {
+        pending->second != req.request_seq) {
       resp.SetStatus(
           Status::Internal(StrFormat(
               "a different commit on \"%s\" is awaiting durability; "
@@ -499,32 +510,19 @@ Response SessionServer::HandleCommit(RemoteSession* rs, Request* req) {
       return resp;
     }
     resumed = true;  // retry of the timed-out commit: resume the wait
-  } else {
-    if (req->decoded_table == nullptr) {
-      resp.SetStatus(
-          Status::InvalidArgument("commit request carries no table"),
-          false);
-      return resp;
-    }
-    Status staged =
-        session->ReplaceStaging(table_name, std::move(*req->decoded_table));
-    if (!staged.ok()) {
-      resp.SetStatus(staged, false);
-      return resp;
-    }
   }
 
   const int64_t budget =
-      req->deadline_ms > 0
-          ? std::min(req->deadline_ms, options_.commit_deadline_ms)
+      req.deadline_ms > 0
+          ? std::min(req.deadline_ms, options_.commit_deadline_ms)
           : options_.commit_deadline_ms;
   session::CommitOutcome outcome;
-  Status s = session->CommitWithDeadline(table_name, req->message,
-                                         req->author,
-                                         Deadline::AfterMillis(budget),
-                                         &outcome);
+  // A resumed commit ignores the re-sent changeset (it is the same one).
+  Status s = session->CommitChangeset(
+      table_name, *req.table, req.deleted, req.message, req.author,
+      Deadline::AfterMillis(budget), &outcome);
   if (s.IsDeadlineExceeded()) {
-    rs->pending_commit_seqs[table_name] = req->request_seq;
+    rs->pending_commit_seqs[table_name] = req.request_seq;
     resp.SetStatus(s, /*transient=*/true);
     ORPHEUS_COUNTER_ADD("net.server.commit_durability_timeouts", 1);
     return resp;

@@ -130,7 +130,7 @@ class SessionServer {
 
   Response HandleOpen(const std::string& client_uuid, const Request& req);
   Response HandleCheckout(RemoteSession* rs, const Request& req);
-  Response HandleCommit(RemoteSession* rs, Request* req);
+  Response HandleCommit(RemoteSession* rs, const Request& req);
   Response HandleRefresh(RemoteSession* rs, const Request& req);
   Response HandleLs(const Request& req);
   Response HandleClose(const Request& req, const std::string& client_uuid);

@@ -380,7 +380,10 @@ std::string EncodeRequest(const Request& req) {
   enc.PutString(req.message);
   enc.PutString(req.author);
   enc.PutU8(req.table != nullptr ? 1 : 0);
-  if (req.table != nullptr) EncodeTable(*req.table, &enc);
+  if (req.table != nullptr) {
+    storage::EncodeRidList(req.deleted, &enc);
+    EncodeTable(*req.table, &enc);
+  }
   return enc.Take();
 }
 
@@ -407,8 +410,13 @@ Result<Request> DecodeRequest(std::string_view payload) {
   }
   ORPHEUS_ASSIGN_OR_RETURN(req.message, dec.GetString());
   ORPHEUS_ASSIGN_OR_RETURN(req.author, dec.GetString());
-  ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_table, dec.GetU8());
-  if (has_table != 0) {
+  ORPHEUS_ASSIGN_OR_RETURN(uint8_t has_changeset, dec.GetU8());
+  if (has_changeset != 0) {
+    // The deleted rids name checkout rows, and every checkout row cost its
+    // sender at least an 8-byte `_rid` in one frame.
+    ORPHEUS_ASSIGN_OR_RETURN(
+        req.deleted,
+        storage::DecodeRidList(&dec, kMaxFramePayload / sizeof(int64_t)));
     ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
     req.decoded_table = std::make_unique<minidb::Table>(std::move(table));
     req.table = req.decoded_table.get();

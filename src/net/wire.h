@@ -37,8 +37,9 @@ namespace orpheus::net {
 /// window (DESIGN.md §14.4).
 
 inline constexpr char kNetMagic[9] = "ORPHNET1";  // 8 bytes + NUL
-/// v2: tables travel columnar (DESIGN.md §14.1); v1 peers are refused.
-inline constexpr uint32_t kProtocolVersion = 2;
+/// v3: a commit ships a changeset, not the whole table (DESIGN.md §14.1);
+/// v2 (full-table commits) and v1 (row-major tables) peers are refused.
+inline constexpr uint32_t kProtocolVersion = 3;
 
 /// Upper bound on one frame's payload; a stream claiming more is treated
 /// as corrupt rather than trusted with an allocation.
@@ -56,7 +57,7 @@ enum class MsgType : uint8_t {
 enum class Op : uint8_t {
   kOpen = 1,       // open a session on a CVD -> sid + watermark
   kCheckout = 2,   // materialize versions into a named table -> the table
-  kCommit = 3,     // ship a staged table, commit it -> CommitOutcome
+  kCommit = 3,     // ship a checkout's changeset, commit it -> CommitOutcome
   kRefresh = 4,    // re-pin the session watermark -> new watermark
   kLs = 5,         // list served CVDs -> summaries
   kClose = 6,      // close a session (releases its pinned state)
@@ -96,9 +97,14 @@ struct Request {
   std::vector<core::VersionId> vids;  // kCheckout
   std::string message;                // kCommit
   std::string author;                 // kCommit
-  // kCommit: the staged table. Encoding reads `table`, which the sender
-  // keeps alive through the encode (it is not copied); decoding allocates
-  // the table into `decoded_table` and points `table` at it.
+  // kCommit: the changeset against the session's checkout of table_name —
+  // the checkout rids not kept unchanged (sorted), and a table of every
+  // other row of the client's table (`_rid` kept, row order preserved).
+  // The rows the client left out are exactly the unchanged ones; the
+  // server carries them without a scan. Encoding reads `table`, which the
+  // sender keeps alive through the encode (it is not copied); decoding
+  // allocates the table into `decoded_table` and points `table` at it.
+  std::vector<core::RecordId> deleted;
   const minidb::Table* table = nullptr;
   std::unique_ptr<minidb::Table> decoded_table;
 };

@@ -61,7 +61,8 @@ class ORPHEUS_SCOPED_CAPABILITY TracedMutexLock {
 
 Status Session::Checkout(const std::vector<core::VersionId>& vids,
                          const std::string& table_name) {
-  if (staging_.HasTable(table_name)) {
+  if (staging_.HasTable(table_name) ||
+      parents_.find(table_name) != parents_.end()) {
     return Status::InvalidArgument(StrFormat(
         "staging table \"%s\" already exists in session %d",
         table_name.c_str(), id_));
@@ -92,25 +93,83 @@ Status Session::CommitWithDeadline(const std::string& table_name,
                                    CommitOutcome* out) {
   auto pending_it = pending_commits_.find(table_name);
   if (pending_it != pending_commits_.end()) {
-    // A previous attempt timed out waiting for durability: the commit is
-    // already applied, so re-wait its tickets — never re-apply (retrying
-    // after a lost result must be exactly-once).
-    Status s =
-        manager_->WaitPendingDurable(&pending_it->second, deadline, out);
-    if (s.IsDeadlineExceeded()) return s;  // still in flight; keep parked
-    pending_commits_.erase(pending_it);
-    ORPHEUS_RETURN_NOT_OK(s);
-    ORPHEUS_RETURN_NOT_OK(staging_.DropTable(table_name));
-    parents_.erase(table_name);
-    watermark_ = std::max(watermark_, manager_->watermark());
-    return Status::OK();
+    return ResumePending(pending_it, deadline, out);
   }
-
   const minidb::Table* table = staging_.GetTable(table_name);
   if (table == nullptr) {
     return Status::NotFound(StrFormat(
         "no staging table \"%s\" in session %d", table_name.c_str(), id_));
   }
+  return CommitRows(table_name, *table, {}, message, author, deadline, out);
+}
+
+Status Session::CommitChangeset(const std::string& table_name,
+                                const minidb::Table& rows,
+                                const std::vector<core::RecordId>& deleted,
+                                const std::string& message,
+                                const std::string& author,
+                                const Deadline& deadline, CommitOutcome* out) {
+  auto pending_it = pending_commits_.find(table_name);
+  if (pending_it != pending_commits_.end()) {
+    return ResumePending(pending_it, deadline, out);
+  }
+  auto it = kept_checkouts_.find(table_name);
+  if (it == kept_checkouts_.end()) {
+    return Status::NotFound(StrFormat(
+        "no remote checkout \"%s\" in session %d", table_name.c_str(), id_));
+  }
+  const std::vector<RecordId>& checkout = it->second.rids;
+  for (size_t i = 0; i < deleted.size(); ++i) {
+    if ((i > 0 && deleted[i] <= deleted[i - 1]) ||
+        !std::binary_search(checkout.begin(), checkout.end(), deleted[i])) {
+      return Status::InvalidArgument(StrFormat(
+          "changeset for \"%s\" deletes rid %lld, which is repeated, out of "
+          "order, or not in the checkout",
+          table_name.c_str(), static_cast<long long>(deleted[i])));
+    }
+  }
+  const std::vector<RecordId> carried = Minus(checkout, deleted);
+  if (!carried.empty()) {
+    // Carried records keep the checkout's columns, so the shipped rows must
+    // have them too, `_rid` first.
+    const std::vector<int> order =
+        rows.schema().ColumnOrderIn(it->second.schema);
+    if (order.empty() || order[0] != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "changeset for \"%s\" carries %zu records but its columns %s differ "
+          "from the checkout's %s; a schema change must ship every row",
+          table_name.c_str(), carried.size(),
+          rows.schema().ToString().c_str(),
+          it->second.schema.ToString().c_str()));
+    }
+  }
+  ORPHEUS_COUNTER_ADD("session.commit.rows_carried", carried.size());
+  return CommitRows(table_name, rows, carried, message, author, deadline,
+                    out);
+}
+
+Status Session::ResumePending(
+    std::unordered_map<std::string, PendingDurability>::iterator pending,
+    const Deadline& deadline, CommitOutcome* out) {
+  // A previous attempt timed out waiting for durability: the commit is
+  // already applied, so re-wait its tickets — never re-apply (retrying
+  // after a lost result must be exactly-once).
+  Status s = manager_->WaitPendingDurable(&pending->second, deadline, out);
+  if (s.IsDeadlineExceeded()) return s;  // still in flight; keep parked
+  const std::string table_name = pending->first;
+  pending_commits_.erase(pending);
+  ORPHEUS_RETURN_NOT_OK(s);
+  Forget(table_name);
+  watermark_ = std::max(watermark_, manager_->watermark());
+  return Status::OK();
+}
+
+Status Session::CommitRows(const std::string& table_name,
+                           const minidb::Table& rows,
+                           const std::vector<RecordId>& carried,
+                           const std::string& message,
+                           const std::string& author, const Deadline& deadline,
+                           CommitOutcome* out) {
   auto it = parents_.find(table_name);
   if (it == parents_.end()) {
     return Status::InvalidArgument(StrFormat(
@@ -118,15 +177,14 @@ Status Session::CommitWithDeadline(const std::string& table_name,
         table_name.c_str(), id_));
   }
   PendingDurability pending;
-  Status s = manager_->CommitStaged(*table, it->second, message, author,
+  Status s = manager_->CommitStaged(rows, carried, it->second, message, author,
                                     deadline, out, &pending);
   if (s.IsDeadlineExceeded()) {
     pending_commits_[table_name] = std::move(pending);
     return s;
   }
   ORPHEUS_RETURN_NOT_OK(s);
-  ORPHEUS_RETURN_NOT_OK(staging_.DropTable(table_name));
-  parents_.erase(it);
+  Forget(table_name);
   // Read-your-writes: the commit is durable by now, so the manager's
   // watermark covers it — advancing the pin cannot admit anything weaker
   // than snapshot isolation.
@@ -134,29 +192,29 @@ Status Session::CommitWithDeadline(const std::string& table_name,
   return Status::OK();
 }
 
-Status Session::ReplaceStaging(const std::string& table_name,
-                               minidb::Table table) {
-  if (parents_.find(table_name) == parents_.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" has no checkout provenance in session %d",
-        table_name.c_str(), id_));
+void Session::Forget(const std::string& table_name) {
+  if (staging_.HasTable(table_name)) {
+    ORPHEUS_CHECK_OK(staging_.DropTable(table_name));
   }
-  if (pending_commits_.find(table_name) != pending_commits_.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" has a commit awaiting durability in session "
-        "%d; resolve it before restaging",
-        table_name.c_str(), id_));
+  parents_.erase(table_name);
+  kept_checkouts_.erase(table_name);
+}
+
+Status Session::DropStagedRows(const std::string& table_name) {
+  const minidb::Table* table = staging_.GetTable(table_name);
+  if (table == nullptr || parents_.find(table_name) == parents_.end()) {
+    return Status::NotFound(StrFormat(
+        "no checked-out table \"%s\" in session %d", table_name.c_str(),
+        id_));
   }
-  if (table.name() != table_name) {
-    return Status::InvalidArgument(StrFormat(
-        "replacement table is named \"%s\", expected \"%s\"",
-        table.name().c_str(), table_name.c_str()));
+  // Column 0 of a checkout is `_rid`, never NULL.
+  const std::vector<int64_t>& ids = table->column(0).int_data();
+  std::vector<RecordId> rids(ids.begin(), ids.end());
+  if (!std::is_sorted(rids.begin(), rids.end())) {
+    std::sort(rids.begin(), rids.end());
   }
-  ORPHEUS_RETURN_NOT_OK(staging_.DropTable(table_name));
-  ORPHEUS_ASSIGN_OR_RETURN(minidb::Table * adopted,
-                           staging_.AdoptTable(std::move(table)));
-  (void)adopted;
-  return Status::OK();
+  kept_checkouts_[table_name] = KeptCheckout{table->schema(), std::move(rids)};
+  return staging_.DropTable(table_name);
 }
 
 Status Session::DiscardStaging(const std::string& table_name) {
@@ -166,8 +224,12 @@ Status Session::DiscardStaging(const std::string& table_name) {
         "%d; resolve it before discarding",
         table_name.c_str(), id_));
   }
-  ORPHEUS_RETURN_NOT_OK(staging_.DropTable(table_name));
-  parents_.erase(table_name);
+  if (!staging_.HasTable(table_name) &&
+      kept_checkouts_.find(table_name) == kept_checkouts_.end()) {
+    return Status::NotFound(StrFormat(
+        "no staging table \"%s\" in session %d", table_name.c_str(), id_));
+  }
+  Forget(table_name);
   return Status::OK();
 }
 
@@ -266,20 +328,10 @@ Result<minidb::Table> SessionManager::Diff(core::VersionId a,
   return cvd_->Diff(a, b);
 }
 
-Result<CommitOutcome> SessionManager::CommitStaged(
-    const minidb::Table& table, const std::vector<core::VersionId>& parents,
-    const std::string& message, const std::string& author) {
-  CommitOutcome out;
-  PendingDurability pending;
-  ORPHEUS_RETURN_NOT_OK(CommitStaged(table, parents, message, author,
-                                     Deadline::Infinite(), &out, &pending));
-  return out;
-}
-
 Status SessionManager::CommitStaged(
-    const minidb::Table& table, const std::vector<core::VersionId>& parents,
-    const std::string& message, const std::string& author,
-    const Deadline& deadline, CommitOutcome* out,
+    const minidb::Table& rows, const std::vector<RecordId>& carried,
+    const std::vector<core::VersionId>& parents, const std::string& message,
+    const std::string& author, const Deadline& deadline, CommitOutcome* out,
     PendingDurability* pending) {
   ORPHEUS_TRACE_SPAN("session.commit");
   std::vector<uint64_t> tickets;
@@ -288,7 +340,7 @@ Status SessionManager::CommitStaged(
     TracedMutexLock commit_lock(&commit_mu_);
     ORPHEUS_RETURN_NOT_OK(RequireUsable());
     inflight_tickets_.clear();
-    apply_status = CommitApply(table, parents, message, author, out);
+    apply_status = CommitApply(rows, carried, parents, message, author, out);
     // Drain the tickets even when a later step failed: every enqueued
     // record WAS applied in memory, so someone must wait out its batch.
     tickets.swap(inflight_tickets_);
@@ -357,7 +409,8 @@ void SessionManager::PoisonAfterDurabilityFailure(const Status& error) {
             {{"cvd", name_}, {"error", error.message()}});
 }
 
-Status SessionManager::CommitApply(const minidb::Table& table,
+Status SessionManager::CommitApply(const minidb::Table& rows,
+                                   const std::vector<RecordId>& carried,
                                    const std::vector<core::VersionId>& parents,
                                    const std::string& message,
                                    const std::string& author,
@@ -371,7 +424,8 @@ Status SessionManager::CommitApply(const minidb::Table& table,
     // lands (afterwards the new version is itself a childless descendant).
     if (base != core::kInvalidVersion) tip = TipOf(base);
     ORPHEUS_ASSIGN_OR_RETURN(
-        out->vid, cvd_->CommitTable(table, parents, message, author));
+        out->vid, cvd_->CommitTable(rows, parents, message, author,
+                                    /*checkout_time=*/0, carried));
   }
   ORPHEUS_COUNTER_ADD("session.commit.applied", 1);
   if (tip == base) return Status::OK();
@@ -398,11 +452,15 @@ Status SessionManager::CommitApply(const minidb::Table& table,
   {
     ORPHEUS_TRACE_SPAN("apply");
     WriterMutexLock data(&data_mu_);
+    // The merge is a commit of its fresh payloads plus the carried records.
+    minidb::Table fresh("reconcile", cvd_->backend()->data_schema());
+    for (const minidb::Row& row : plan.fresh) fresh.AppendRowUnchecked(row);
+    std::sort(plan.carried.begin(), plan.carried.end());
     ORPHEUS_ASSIGN_OR_RETURN(
         out->merged_vid,
-        cvd_->CommitMembership(
-            {tip, out->vid}, std::move(plan.carried), std::move(plan.fresh),
-            StrFormat("reconcile v%d into v%d", out->vid, tip), author));
+        cvd_->CommitTable(fresh, {tip, out->vid},
+                          StrFormat("reconcile v%d into v%d", out->vid, tip),
+                          author, /*checkout_time=*/0, plan.carried));
   }
   out->reconciled = true;
   out->reconciled_with = tip;

@@ -113,11 +113,29 @@ class Session {
                             const std::string& author,
                             const Deadline& deadline, CommitOutcome* out);
 
-  /// Swap the contents of a staged table (keeping the provenance recorded
-  /// by Checkout) with a table shipped from elsewhere — the server's way
-  /// of adopting a remote client's edits before committing them. Refused
-  /// while a timed-out commit for `table_name` is still in flight.
-  Status ReplaceStaging(const std::string& table_name, minidb::Table table);
+  /// Keep only the provenance and the sorted rid list of a checked-out
+  /// table, dropping its rows: the server's form of a remote checkout once
+  /// its reply is encoded. The client then commits a changeset against it
+  /// (CommitChangeset).
+  Status DropStagedRows(const std::string& table_name);
+
+  /// Commit a remote client's changeset against a checkout kept by
+  /// DropStagedRows. `rows` are the rows the client shipped (changed, new,
+  /// or simply not left out); `deleted` are the checkout rids it did not
+  /// keep unchanged, sorted and unique. The version holds `rows` plus the
+  /// checkout's other records, which are carried without a scan; every
+  /// shipped row gets the matching and primary-key checks of a full-table
+  /// commit. InvalidArgument if `deleted` is unsorted, repeats a rid, or
+  /// names one the checkout does not hold, or if `rows` carries records
+  /// while its columns differ from the checkout's in more than order (a
+  /// schema change ships every row). Otherwise as
+  /// CommitWithDeadline; a parked commit is resumed and the re-sent
+  /// changeset ignored.
+  Status CommitChangeset(const std::string& table_name,
+                         const minidb::Table& rows,
+                         const std::vector<core::RecordId>& deleted,
+                         const std::string& message, const std::string& author,
+                         const Deadline& deadline, CommitOutcome* out);
 
   /// True while a deadline-exceeded commit for `table_name` awaits its
   /// durability verdict (CommitWithDeadline must be called to resolve it).
@@ -125,9 +143,10 @@ class Session {
     return pending_commits_.find(table_name) != pending_commits_.end();
   }
 
-  /// Drop a staged table and its provenance without committing (the server
-  /// uses this to make a retried checkout idempotent). Refused while a
-  /// timed-out commit for `table_name` is still in flight.
+  /// Drop a staged table (or its kept rid list) and its provenance without
+  /// committing (the server uses this to make a retried checkout
+  /// idempotent). Refused while a timed-out commit for `table_name` is
+  /// still in flight.
   Status DiscardStaging(const std::string& table_name);
 
   /// The parent versions recorded for `table_name` at Checkout, or null.
@@ -152,12 +171,32 @@ class Session {
   Session(SessionManager* manager, int id, core::VersionId watermark)
       : manager_(manager), id_(id), watermark_(watermark) {}
 
+  /// Re-wait the parked commit at `pending` (see CommitWithDeadline).
+  Status ResumePending(
+      std::unordered_map<std::string, PendingDurability>::iterator pending,
+      const Deadline& deadline, CommitOutcome* out);
+  /// Commit `rows` plus the stored records `carried` against the parents
+  /// recorded for `table_name`; on success forget the staged table.
+  Status CommitRows(const std::string& table_name, const minidb::Table& rows,
+                    const std::vector<core::RecordId>& carried,
+                    const std::string& message, const std::string& author,
+                    const Deadline& deadline, CommitOutcome* out);
+  /// Forget everything staged under `table_name` (rows, rids, parents).
+  void Forget(const std::string& table_name);
+
   SessionManager* manager_;
   int id_;
   core::VersionId watermark_;
   minidb::Database staging_;
   // Staging table -> parent versions pinned at checkout.
   std::unordered_map<std::string, std::vector<core::VersionId>> parents_;
+  // Staging table -> its checkout's schema and sorted rids, once
+  // DropStagedRows has dropped the rows.
+  struct KeptCheckout {
+    minidb::Schema schema;
+    std::vector<core::RecordId> rids;
+  };
+  std::unordered_map<std::string, KeptCheckout> kept_checkouts_;
   // Staging table -> commit applied in memory but with its WAL batch still
   // in flight after a durability-wait timeout (see CommitWithDeadline).
   std::unordered_map<std::string, PendingDurability> pending_commits_;
@@ -216,17 +255,15 @@ class SessionManager {
   Result<minidb::Table> Diff(core::VersionId a, core::VersionId b,
                              core::VersionId watermark) const;
 
-  /// The optimistic-commit protocol (see session.cc for the lock dance).
-  Result<CommitOutcome> CommitStaged(const minidb::Table& table,
-                                     const std::vector<core::VersionId>& parents,
-                                     const std::string& message,
-                                     const std::string& author);
-
-  /// Deadline-bounded CommitStaged. On DeadlineExceeded `*pending` holds
-  /// the in-flight tickets plus the parked outcome (the apply already
-  /// happened); the manager is NOT poisoned — durability is unknown, not
-  /// failed. Resolve by calling WaitPendingDurable.
-  Status CommitStaged(const minidb::Table& table,
+  /// The optimistic-commit protocol (see session.cc for the lock dance):
+  /// commit `rows` plus the stored records `carried` (sorted; empty for a
+  /// local commit of a whole staged table) with a bounded durability wait.
+  /// On DeadlineExceeded `*pending` holds the in-flight tickets plus the
+  /// parked outcome (the apply already happened); the manager is NOT
+  /// poisoned — durability is unknown, not failed. Resolve by calling
+  /// WaitPendingDurable.
+  Status CommitStaged(const minidb::Table& rows,
+                      const std::vector<core::RecordId>& carried,
                       const std::vector<core::VersionId>& parents,
                       const std::string& message, const std::string& author,
                       const Deadline& deadline, CommitOutcome* out,
@@ -241,7 +278,8 @@ class SessionManager {
 
   /// Phase run under commit_mu_: apply the commit, detect divergence,
   /// build + apply the reconciliation merge. Fills `out`.
-  Status CommitApply(const minidb::Table& table,
+  Status CommitApply(const minidb::Table& rows,
+                     const std::vector<core::RecordId>& carried,
                      const std::vector<core::VersionId>& parents,
                      const std::string& message, const std::string& author,
                      CommitOutcome* out) ORPHEUS_REQUIRES(commit_mu_);

@@ -299,12 +299,17 @@ void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc) {
   for (int64_t v : rids) enc->PutI64(v);
 }
 
-Result<std::vector<int64_t>> DecodeRidList(Decoder* dec) {
+Result<std::vector<int64_t>> DecodeRidList(Decoder* dec, size_t max_rids) {
   const uint64_t tag_offset = dec->file_offset();
   ORPHEUS_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
   if (tag == 1) {
     ORPHEUS_ASSIGN_OR_RETURN(std::string blob, dec->GetString());
     ORPHEUS_ASSIGN_OR_RETURN(RidSet set, RidSet::DeserializeBlob(blob));
+    if (set.size() > max_rids) {
+      return Status::DataLoss(StrFormat(
+          "rid list at offset %llu holds %zu rids, more than %zu",
+          static_cast<unsigned long long>(tag_offset), set.size(), max_rids));
+    }
     return set.ToVector();
   }
   if (tag != 0) {

@@ -167,8 +167,12 @@ Result<minidb::Value> DecodeIntArray(Decoder* dec);
 /// encoding for short or non-sorted-unique lists), 1 = packed RidSet chunk
 /// blob. The choice is a deterministic function of the list contents, so
 /// the bytes written do not depend on the in-memory representation.
+/// Decoding refuses (DataLoss) a packed blob of more than `max_rids` rids,
+/// so one from an untrusted peer cannot expand past what the caller can
+/// hold (a raw list is bounded by its own bytes).
 void EncodeRidList(const std::vector<int64_t>& rids, Encoder* enc);
-Result<std::vector<int64_t>> DecodeRidList(Decoder* dec);
+Result<std::vector<int64_t>> DecodeRidList(Decoder* dec,
+                                           size_t max_rids = SIZE_MAX);
 
 }  // namespace orpheus::storage
 

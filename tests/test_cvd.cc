@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "common/validation.h"
 #include "core/cvd.h"
+#include "core/validate.h"
 #include "minidb/database.h"
 
 namespace orpheus::core {
@@ -328,6 +330,53 @@ TEST_P(CvdAllModelsTest, FullRoundTrip) {
     if (check->column(3).GetInt(r) == 12345) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// A version holds a stored record at most once: without a primary key, a
+// duplicated checkout row (same `_rid`, same payload) becomes a new record
+// instead of repeating the rid in the version's membership.
+TEST_P(CvdAllModelsTest, RepeatedRidBecomesNewRecord) {
+  Cvd::Options opt;
+  opt.model = GetParam();
+  auto cvd = Cvd::Init("Interaction", InteractionTable(), opt);
+  ASSERT_TRUE(cvd.ok());
+  auto base = (*cvd)->Materialize({1}, "w");
+  ASSERT_TRUE(base.ok());
+  Table edited = base->Clone("w");
+  edited.AppendRowUnchecked(edited.GetRow(1));
+  auto v2 = (*cvd)->CommitTable(edited, {1}, "duplicate");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  auto rids = (*cvd)->VersionRecords(*v2);
+  ASSERT_TRUE(rids.ok());
+  EXPECT_EQ(rids->size(), 4u);
+  EXPECT_TRUE(std::adjacent_find(rids->begin(), rids->end()) == rids->end());
+  ValidationReport report;
+  ValidateCvd(**cvd, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// A row may carry a stored rid from a version other than its parent; when
+// its payload matches, the record is kept, on every model (the delta-based
+// model once failed to find such a payload off the parent's chain).
+TEST_P(CvdAllModelsTest, KeepsStoredRidFromAnotherVersion) {
+  Cvd::Options opt = PkOptions();
+  opt.model = GetParam();
+  auto cvd = Cvd::Init("Interaction", InteractionTable(), opt);
+  ASSERT_TRUE(cvd.ok());
+  auto v1 = (*cvd)->Materialize({1}, "w");
+  ASSERT_TRUE(v1.ok());
+  const int64_t dropped = v1->GetValue(2, 0).AsInt();
+  auto v2 = (*cvd)->CommitTable(v1->CopyRows({0, 1}, "w"), {1}, "drop");
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  auto v3 = (*cvd)->CommitTable(v1.ValueOrDie(), {*v2}, "restore");
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  auto rids = (*cvd)->VersionRecords(*v3);
+  ASSERT_TRUE(rids.ok());
+  EXPECT_TRUE(std::binary_search(rids->begin(), rids->end(), dropped));
+  EXPECT_EQ((*cvd)->graph().EdgeWeight(*v2 - 1, *v3 - 1), 2);
+  auto restored = (*cvd)->Materialize({*v3}, "check");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->num_rows(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -155,6 +155,7 @@ TEST_F(NetTest, RequestRoundtripWithTable) {
                             {"name", ValueType::kString}}));
   ORPHEUS_CHECK_OK(staged.InsertRow({Value(int64_t{5}), Value("five")}));
   req.table = &staged;
+  req.deleted = {2, 3, 40};
 
   auto decoded = DecodeRequest(EncodeRequest(req));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -170,6 +171,7 @@ TEST_F(NetTest, RequestRoundtripWithTable) {
   ASSERT_NE(out.table, nullptr);
   EXPECT_EQ(out.table->num_rows(), 1u);
   EXPECT_EQ(out.table->GetValue(0, 1).ToString(), "five");
+  EXPECT_EQ(out.deleted, (std::vector<core::RecordId>{2, 3, 40}));
 }
 
 TEST_F(NetTest, RequestRoundtripCheckout) {
@@ -402,16 +404,27 @@ TEST_F(NetTest, DecodeSurvivesEveryCutAndFlipOfTableMessages) {
   EncodeTable(table, &table_enc);
   const size_t table_size = table_enc.data().size();
 
-  Request req;
-  req.op = Op::kCommit;
-  req.request_seq = 5;
-  req.sid = 2;
-  req.table_name = "every";
-  req.message = "m";
-  req.table = &table;
-  const std::string request = EncodeRequest(req);
-  SweepCutsAndFlips(request, request.size() - table_size,
-                    [](std::string_view b) { return DecodeRequest(b); });
+  // A v3 commit request: the changeset's deleted rids (raw and packed
+  // lists), then the shipped table. The sweep flips every changeset byte.
+  std::vector<core::RecordId> packed(300);
+  for (size_t i = 0; i < packed.size(); ++i) packed[i] = 2 * i + 7;
+  for (const std::vector<core::RecordId>& deleted :
+       {std::vector<core::RecordId>{3, 9, 12}, packed}) {
+    storage::Encoder deleted_enc;
+    storage::EncodeRidList(deleted, &deleted_enc);
+    Request req;
+    req.op = Op::kCommit;
+    req.request_seq = 5;
+    req.sid = 2;
+    req.table_name = "every";
+    req.message = "m";
+    req.deleted = deleted;
+    req.table = &table;
+    const std::string request = EncodeRequest(req);
+    SweepCutsAndFlips(
+        request, request.size() - table_size - deleted_enc.data().size(),
+        [](std::string_view b) { return DecodeRequest(b); });
+  }
 
   Response resp;
   resp.op = Op::kCheckout;
@@ -461,10 +474,19 @@ TEST_F(NetTest, HandshakeRejectsVersionMismatch) {
 
 TEST_F(NetTest, HandshakeRefusesV1Client) {
   // v1 shipped tables row-major; a v1 peer must be refused, not misparsed.
-  ASSERT_EQ(kProtocolVersion, 2u);
+  ASSERT_EQ(kProtocolVersion, 3u);
   const HelloAck ack = HandshakeWith(kNetMagic, 1, "v1-client");
   EXPECT_EQ(ack.code, static_cast<uint8_t>(StatusCode::kNotSupported));
   EXPECT_NE(ack.message.find("v1"), std::string::npos);
+}
+
+TEST_F(NetTest, HandshakeRefusesV2Client) {
+  // v2 committed whole tables; its commit request would misparse as a
+  // changeset, so a v2 peer is refused at the handshake.
+  ASSERT_EQ(kProtocolVersion, 3u);
+  const HelloAck ack = HandshakeWith(kNetMagic, 2, "v2-client");
+  EXPECT_EQ(ack.code, static_cast<uint8_t>(StatusCode::kNotSupported));
+  EXPECT_NE(ack.message.find("v2"), std::string::npos);
 }
 
 TEST_F(NetTest, HandshakeRejectsBadMagic) {
@@ -532,6 +554,166 @@ TEST_F(NetTest, LifecycleOverLoopbackTcp) { RunLifecycle("tcp:0"); }
 
 TEST_F(NetTest, ListenerRejectsNonLoopbackTcp) {
   EXPECT_FALSE(Listener::Listen("tcp:8.8.8.8:1234").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Changeset commits (protocol v3)
+// ---------------------------------------------------------------------------
+
+/// A hand-driven peer: handshakes as `client_uuid`, then sends requests
+/// exactly as given (no client-side diff), one response per request.
+class RawPeer {
+ public:
+  RawPeer(const std::string& address, const std::string& client_uuid) {
+    auto connected = Socket::Connect(address, Deadline::AfterMillis(2000));
+    ORPHEUS_CHECK_OK(connected.status());
+    sock_ = connected.MoveValueOrDie();
+    Hello hello;
+    hello.magic = kNetMagic;
+    hello.client_uuid = client_uuid;
+    ORPHEUS_CHECK_OK(SendMessage(&sock_, MsgType::kHello, EncodeHello(hello),
+                                 Deadline::AfterMillis(2000)));
+    MsgType type;
+    std::string payload;
+    ORPHEUS_CHECK_OK(
+        RecvMessage(&sock_, &type, &payload, Deadline::AfterMillis(2000)));
+    ORPHEUS_CHECK_OK(DecodeHelloAck(payload).status());
+  }
+
+  Response Call(Request* req) {
+    req->request_seq = next_seq_++;
+    ORPHEUS_CHECK_OK(SendMessage(&sock_, MsgType::kRequest,
+                                 EncodeRequest(*req),
+                                 Deadline::AfterMillis(5000)));
+    MsgType type;
+    std::string payload;
+    ORPHEUS_CHECK_OK(
+        RecvMessage(&sock_, &type, &payload, Deadline::AfterMillis(5000)));
+    auto resp = DecodeResponse(payload);
+    ORPHEUS_CHECK_OK(resp.status());
+    return resp.MoveValueOrDie();
+  }
+
+ private:
+  Socket sock_;
+  uint64_t next_seq_ = 1;
+};
+
+// A changeset the checkout cannot back is refused with InvalidArgument:
+// the server never trusts the client's diff beyond "these rows are
+// unchanged", and a refused changeset leaves the checkout committable.
+TEST_F(NetTest, HostileChangesetsAreRefused) {
+  ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = StartMemoryServer(options);
+  RawPeer peer(server->address(), "hostile");
+
+  Request open;
+  open.op = Op::kOpen;
+  open.cvd = "t";
+  const uint64_t sid = peer.Call(&open).sid;
+  Request checkout;
+  checkout.op = Op::kCheckout;
+  checkout.sid = sid;
+  checkout.vids = {1};
+  checkout.table_name = "w";
+  Response checked = peer.Call(&checkout);
+  ASSERT_TRUE(checked.ok()) << checked.message;
+  const Table& base = *checked.decoded_table;
+  ASSERT_EQ(base.num_rows(), 2u);
+  const core::RecordId r0 = base.GetValue(0, 0).AsInt();
+  const core::RecordId r1 = base.GetValue(1, 0).AsInt();
+
+  Table no_rows = base.CopyRows({}, "w");
+  Table narrow("w", Schema({{"_rid", ValueType::kInt64},
+                            {"id", ValueType::kInt64}}));
+  Table no_rid("w", Schema({{"id", ValueType::kInt64},
+                            {"name", ValueType::kString}}));
+  const struct {
+    const char* what;
+    std::vector<core::RecordId> deleted;
+    const Table* rows;
+  } kHostile[] = {
+      {"deleted rid outside the checkout", {r0, 999}, &no_rows},
+      {"unsorted deleted rids", {r1, r0}, &no_rows},
+      {"repeated deleted rid", {r0, r0}, &no_rows},
+      {"wrong-arity table while carrying", {r0}, &narrow},
+      {"table without _rid while carrying", {}, &no_rid},
+      {"no changeset", {}, nullptr},
+  };
+  for (const auto& hostile : kHostile) {
+    SCOPED_TRACE(hostile.what);
+    Request commit;
+    commit.op = Op::kCommit;
+    commit.sid = sid;
+    commit.table_name = "w";
+    commit.deleted = hostile.deleted;
+    commit.table = hostile.rows;
+    const Response refused = peer.Call(&commit);
+    EXPECT_EQ(refused.code,
+              static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << refused.message;
+    EXPECT_FALSE(refused.retryable);
+  }
+
+  // The checkout survived: deleting one row and keeping the other commits.
+  Request commit;
+  commit.op = Op::kCommit;
+  commit.sid = sid;
+  commit.table_name = "w";
+  commit.deleted = {r1};
+  commit.table = &no_rows;
+  const Response ok = peer.Call(&commit);
+  ASSERT_TRUE(ok.ok()) << ok.message;
+  auto client = Client::Connect(server->address(), FastClientOptions(30));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(NumVersions(client.ValueOrDie().get()), 2);
+  ValidationReport report;
+  ORPHEUS_CHECK_OK(server->manager("t")->ReadCvd([&](const core::Cvd& cvd) {
+    EXPECT_EQ(cvd.VersionRecords(2).ValueOrDie(),
+              (std::vector<core::RecordId>{r0}));
+    core::ValidateCvd(cvd, &report);
+    return Status::OK();
+  }));
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// The client holds one base per live (sid, table) checkout: re-checkouts
+// replace it, a landed commit or a closed session drops it, a refused
+// commit keeps it for a corrected retry.
+TEST_F(NetTest, ClientBasesStayBounded) {
+  ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = StartMemoryServer(options);
+  auto client = Client::Connect(server->address(), FastClientOptions(31));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Client* c = client.ValueOrDie().get();
+  const uint64_t sid = c->Open("t").ValueOrDie().sid;
+
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(c->Checkout(sid, {1}, "w").ok());
+    EXPECT_EQ(c->bases_held(), 1u);
+  }
+  Table w = c->Checkout(sid, {1}, "w").MoveValueOrDie();
+  AddRow(&w, 1, "duplicate key");
+  auto refused = c->Commit(sid, w, "bad", "tester");
+  EXPECT_TRUE(refused.status().IsConstraintViolation())
+      << refused.status().ToString();
+  EXPECT_EQ(c->bases_held(), 1u);
+  w.DeleteRows({static_cast<uint32_t>(w.num_rows() - 1)});
+  AddRow(&w, 3, "gamma");
+  ASSERT_TRUE(c->Commit(sid, w, "fixed", "tester").ok());
+  EXPECT_EQ(c->bases_held(), 0u);
+  EXPECT_TRUE(c->Commit(sid, w, "again", "tester").status().IsNotFound());
+
+  ASSERT_TRUE(c->Checkout(sid, {1}, "a").ok());
+  ASSERT_TRUE(c->Checkout(sid, {2}, "b").ok());
+  EXPECT_EQ(c->bases_held(), 2u);
+  EXPECT_FALSE(c->Checkout(sid, {99}, "b").ok());
+  EXPECT_EQ(c->bases_held(), 1u);
+  ORPHEUS_CHECK_OK(c->CloseSession(sid));
+  EXPECT_EQ(c->bases_held(), 0u);
+  EXPECT_EQ(NumVersions(c), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -29,7 +30,10 @@
 #include "minidb/schema.h"
 #include "minidb/table.h"
 #include "minidb/value.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "session/session.h"
+#include "storage/format.h"
 #include "storage/repository.h"
 
 namespace orpheus::session {
@@ -766,16 +770,17 @@ void RunDifferentialHistory(core::DataModelType model, bool with_pk,
       ASSERT_TRUE(s->Checkout({base}, "t").ok());
       const Table& staged = *s->table("t");
       const uint64_t schema_event = rng.Uniform(20);
+      // Reshape the staged table in place: the checkout's provenance stays.
+      auto restage = [&](Table reshaped) {
+        ASSERT_TRUE(s->staging()->DropTable("t").ok());
+        ASSERT_TRUE(s->staging()->AdoptTable(std::move(reshaped)).ok());
+      };
       if (schema_event == 0 && staged.schema().FindColumn("note") < 0) {
-        ASSERT_TRUE(
-            s->ReplaceStaging("t", Reshape(staged, "note", ValueType::kString))
-                .ok());
+        restage(Reshape(staged, "note", ValueType::kString));
       } else if (schema_event == 1 &&
                  staged.schema().column(staged.schema().FindColumn("score"))
                          .type == ValueType::kInt64) {
-        ASSERT_TRUE(
-            s->ReplaceStaging("t", Reshape(staged, "score", ValueType::kDouble))
-                .ok());
+        restage(Reshape(staged, "score", ValueType::kDouble));
       }
       RandomEdits(s->table("t"), &rng);
     }
@@ -868,6 +873,381 @@ TEST_F(SessionTest, ReconcileWorkIsIndependentOfVersionSize) {
   const uint64_t large = reconcile_work(10000);
   EXPECT_GT(small, 0u);
   EXPECT_EQ(small, large);
+}
+
+// ---------------------------------------------------------------------------
+// Changeset commits: the rows a client leaves out are carried, not scanned,
+// and the commit record equals the full-table commit's (the oracle)
+// ---------------------------------------------------------------------------
+
+/// What one CommitTable call logged (the WAL encoding of its record), or
+/// the status it failed with.
+struct LoggedCommit {
+  Status status;
+  std::string record;
+};
+
+LoggedCommit CommitAndLog(core::Cvd* cvd, const Table& rows, VersionId parent,
+                          const std::vector<core::RecordId>& carried) {
+  LoggedCommit out;
+  cvd->set_commit_observer([&out](const core::CvdCommitRecord& record) {
+    storage::Encoder enc;
+    storage::EncodeCommitRecord(record, &enc);
+    out.record = enc.Take();
+    return Status::OK();
+  });
+  out.status =
+      cvd->CommitTable(rows, {parent}, "edit", "", 0, carried).status();
+  cvd->set_commit_observer(nullptr);
+  return out;
+}
+
+/// `t` with columns `cols`, each filled from the same-named column of `t`
+/// (int cells widened to double where the target says so) or NULL.
+Table WithColumns(const Table& t, const std::vector<minidb::ColumnDef>& cols) {
+  Table out(t.name(), Schema(cols));
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    minidb::Row row;
+    for (const minidb::ColumnDef& col : cols) {
+      const int c = t.schema().FindColumn(col.name);
+      Value v = c < 0 ? Value::Null() : t.GetValue(r, c);
+      if (col.type == ValueType::kDouble && v.type() == ValueType::kInt64) {
+        v = Value(static_cast<double>(v.AsInt()));
+      }
+      row.push_back(std::move(v));
+    }
+    out.AppendRowUnchecked(row);
+  }
+  return out;
+}
+
+/// A cell for column `type` drawn from the values a changeset must
+/// compare exactly: NULL, NaN, -0.0 vs 0.0, and the string "NULL".
+Value EditValue(ValueType type, Xorshift* rng) {
+  switch (type) {
+    case ValueType::kString: {
+      const char* names[] = {"a", "b", "NULL", ""};
+      if (rng->Uniform(5) == 0) return Value::Null();
+      return Value(std::string(names[rng->Uniform(4)]));
+    }
+    case ValueType::kDouble: {
+      const double values[] = {1.5, std::nan(""), -0.0, 0.0, 2.25};
+      if (rng->Uniform(6) == 0) return Value::Null();
+      return Value(values[rng->Uniform(5)]);
+    }
+    default:
+      if (rng->Uniform(6) == 0) return Value::Null();
+      return Value(static_cast<int64_t>(rng->Uniform(4)));
+  }
+}
+
+/// Random edits of checkout `base` (column 0 `_rid`, key `id`): modifies,
+/// deletes, inserts with and without a `_rid`, reordered rows, a row with
+/// a stored rid from another version, and now and then a schema change
+/// (added, dropped or widened column, or reordered columns) or a
+/// delete-all. At most one edit repeats a key, so a key violation names
+/// one key on both commit paths.
+Table ChangesetEdits(const Table& base, const Table& prev,
+                     const std::vector<core::RecordId>& old, int64_t* next_id,
+                     Xorshift* rng) {
+  Table t = base.Clone(base.name());
+  const int id_col = t.schema().FindColumn("id");
+  auto edit_cell = [&](minidb::Row* row) {
+    const size_t c = 2 + rng->Uniform(t.num_columns() - 2);
+    if (static_cast<int>(c) != id_col) {
+      (*row)[c] = EditValue(t.schema().column(c).type, rng);
+    }
+  };
+  // Modify, and swap in stale rids.
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    const uint64_t dice = rng->Uniform(10);
+    if (dice > 1) continue;
+    minidb::Row row = t.GetRow(r);
+    if (dice == 0) edit_cell(&row);
+    if (dice == 1 && !old.empty()) {
+      row[0] = Value(old[rng->Uniform(old.size())]);
+    }
+    t.SetRow(r, row);
+  }
+  // Delete.
+  std::vector<uint32_t> doomed;
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    if (rng->Uniform(8) == 0) doomed.push_back(r);
+  }
+  t.DeleteRows(doomed);
+  // Insert: no rid, a deleted base rid, or a rid never stored.
+  const uint64_t inserts = rng->Uniform(3);
+  for (uint64_t i = 0; i < inserts && t.num_rows() > 0; ++i) {
+    minidb::Row row =
+        t.GetRow(static_cast<uint32_t>(rng->Uniform(t.num_rows())));
+    const uint64_t kind = rng->Uniform(3);
+    row[0] = kind == 0 ? Value::Null()
+             : kind == 1 ? base.GetValue(static_cast<uint32_t>(
+                                             rng->Uniform(base.num_rows())),
+                                         0)
+                         : Value(int64_t{1} << 40);
+    row[id_col] = Value((*next_id)++);
+    edit_cell(&row);
+    t.AppendRowUnchecked(row);
+  }
+  // At most one repeated key: a duplicated row (same rid, or none), or a
+  // row of the previous checkout, rid and all (a stored record of another
+  // version, kept when its payload still matches).
+  const uint64_t repeat = rng->Uniform(7);
+  if (repeat < 2 && t.num_rows() > 0) {
+    minidb::Row row =
+        t.GetRow(static_cast<uint32_t>(rng->Uniform(t.num_rows())));
+    if (repeat == 1) row[0] = Value::Null();
+    t.AppendRowUnchecked(row);
+  } else if (repeat == 2 && prev.num_rows() > 0) {
+    const Table aligned = WithColumns(prev, t.schema().columns());
+    t.AppendRowUnchecked(aligned.GetRow(
+        static_cast<uint32_t>(rng->Uniform(aligned.num_rows()))));
+  }
+  // Reordered rows.
+  if (rng->Uniform(3) == 0) {
+    std::vector<uint32_t> order(t.num_rows());
+    for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng->Uniform(i)]);
+    }
+    t = t.CopyRows(order, t.name());
+  }
+  // Schema changes.
+  std::vector<minidb::ColumnDef> cols = t.schema().columns();
+  switch (rng->Uniform(16)) {
+    case 0:
+      t.DeleteRows([&] {
+        std::vector<uint32_t> all(t.num_rows());
+        for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
+        return all;
+      }());
+      break;
+    case 1:
+      if (t.schema().FindColumn("note") < 0) {
+        cols.push_back({"note", ValueType::kString});
+        t = WithColumns(t, cols);
+      }
+      break;
+    case 2:
+      if (t.schema().FindColumn("score") >= 0) {
+        cols.erase(cols.begin() + t.schema().FindColumn("score"));
+        t = WithColumns(t, cols);
+      }
+      break;
+    case 3: {
+      const int c = t.schema().FindColumn("count");
+      if (c >= 0 && cols[c].type == ValueType::kInt64) {
+        cols[c].type = ValueType::kDouble;
+        t = WithColumns(t, cols);
+      }
+      break;
+    }
+    case 4:
+    case 5:
+      std::reverse(cols.begin() + 1, cols.end());
+      t = WithColumns(t, cols);
+      break;
+    default:
+      break;
+  }
+  return t;
+}
+
+struct ChangesetTally {
+  int committed = 0;
+  int violations = 0;
+  int partial = 0;  // shipped fewer rows than the table holds
+  int whole = 0;    // a schema change shipped every row
+};
+
+/// Seeded history on two identical CVDs: every round checks out the
+/// latest version, edits it, and commits it whole to `full` and as a
+/// changeset (DiffChangeset, then the carried rest) to `delta`.
+void RunChangesetHistory(core::DataModelType model, bool with_pk,
+                         uint64_t seed, ChangesetTally* tally) {
+  core::Cvd::Options opts;
+  opts.model = model;
+  if (with_pk) opts.primary_key = {"id"};
+  Table seed_table("seed", Schema({{"id", ValueType::kInt64},
+                                   {"name", ValueType::kString},
+                                   {"score", ValueType::kDouble},
+                                   {"count", ValueType::kInt64}}));
+  for (int64_t id = 1; id <= 10; ++id) {
+    ORPHEUS_CHECK_OK(seed_table.InsertRow(
+        {Value(id), Value("n" + std::to_string(id)),
+         Value(static_cast<double>(id % 4) * 0.5), Value(id % 3)}));
+  }
+  auto full = core::Cvd::Init("t", seed_table, opts).MoveValueOrDie();
+  auto delta = core::Cvd::Init("t", seed_table, opts).MoveValueOrDie();
+  Xorshift rng(seed);
+  int64_t next_id = 1000;
+  std::vector<core::RecordId> old;  // stored rids, for stale-rid edits
+  Table prev = seed_table.CopyRows({}, "t");
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const VersionId latest = delta->latest();
+    auto base = delta->Materialize({latest}, "t");
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    const Table edited = ChangesetEdits(*base, prev, old, &next_id, &rng);
+
+    const LoggedCommit oracle = CommitAndLog(full.get(), edited, latest, {});
+    const net::Changeset changeset = net::DiffChangeset(*base, edited);
+    const std::vector<int64_t>& ids = base->column(0).int_data();
+    std::vector<core::RecordId> checkout(ids.begin(), ids.end());
+    std::sort(checkout.begin(), checkout.end());
+    std::vector<core::RecordId> carried;
+    std::set_difference(checkout.begin(), checkout.end(),
+                        changeset.deleted.begin(), changeset.deleted.end(),
+                        std::back_inserter(carried));
+    const Table& shipped = changeset.Rows(edited);
+    const LoggedCommit got =
+        CommitAndLog(delta.get(), shipped, latest, carried);
+
+    ASSERT_EQ(oracle.status.ToString(), got.status.ToString());
+    ASSERT_TRUE(oracle.record == got.record)
+        << "commit records differ (" << oracle.record.size() << " vs "
+        << got.record.size() << " bytes)";
+    if (!got.status.ok()) {
+      ASSERT_TRUE(got.status.IsConstraintViolation())
+          << got.status.ToString();
+      ++tally->violations;
+      continue;
+    }
+    ++tally->committed;
+    if (shipped.num_rows() < edited.num_rows()) ++tally->partial;
+    if (carried.empty() && !checkout.empty() && edited.num_rows() > 0) {
+      ++tally->whole;
+    }
+    old.insert(old.end(), checkout.begin(), checkout.end());
+    prev = std::move(base).MoveValueOrDie();
+  }
+  ValidationReport report;
+  core::ValidateCvd(*delta, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+class ChangesetDifferentialTest
+    : public SessionTest,
+      public ::testing::WithParamInterface<core::DataModelType> {};
+
+TEST_P(ChangesetDifferentialTest, MatchesFullTableCommit) {
+  for (bool with_pk : {true, false}) {
+    ChangesetTally tally;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(StrFormat("pk=%d seed=%llu", with_pk ? 1 : 0,
+                             static_cast<unsigned long long>(seed)));
+      RunChangesetHistory(GetParam(), with_pk, seed, &tally);
+    }
+    // The histories reach what the oracle distinguishes.
+    EXPECT_GT(tally.committed, 0);
+    EXPECT_GT(tally.partial, 0);
+    EXPECT_GT(tally.whole, 0);
+    if (with_pk) {
+      EXPECT_GT(tally.violations, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, ChangesetDifferentialTest,
+    ::testing::Values(core::DataModelType::kATablePerVersion,
+                      core::DataModelType::kCombinedTable,
+                      core::DataModelType::kSplitByVlist,
+                      core::DataModelType::kSplitByRlist,
+                      core::DataModelType::kDeltaBased),
+    [](const ::testing::TestParamInfo<core::DataModelType>& info) {
+      std::string name = core::DataModelTypeName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST_F(SessionTest, ChangesetRefusesKeyWideningWhileCarrying) {
+  auto cvd = MakeCvd({{1, "a"}, {2, "b"}}, PkOptions());
+  auto base = cvd->Materialize({1}, "t").MoveValueOrDie();
+  Table widened = WithColumns(base, {{"_rid", ValueType::kInt64},
+                                     {"id", ValueType::kDouble},
+                                     {"name", ValueType::kString}});
+  auto refused = cvd->CommitTable(widened.CopyRows({1}, "t"), {1}, "w", "", 0,
+                                  {base.GetValue(0, 0).AsInt()});
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  // Shipped whole, the same widening commits.
+  EXPECT_TRUE(cvd->CommitTable(widened, {1}, "w").ok());
+}
+
+// A remote commit of one edited row does the same work at 100 and at
+// 10,000 rows: bytes on the wire, rows scanned and key-index probes.
+TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  // Bytes as received: either end counts them before the call returns (a
+  // sender counts after its write, which can trail the peer's read).
+  Counter& wire = metrics.counter("net.bytes_recv");
+  Counter& scanned = metrics.counter("cvd.commit.rows_scanned");
+  Counter& probes = metrics.counter("cvd.commit.key_index.probes");
+  Counter& indexed = metrics.counter("cvd.key_index.records_indexed");
+  Counter& shipped = metrics.counter("net.client.commit.rows_shipped");
+  Counter& carried = metrics.counter("session.commit.rows_carried");
+  Counter& copied = metrics.counter("minidb.rows_copied");
+  Counter& materialized =
+      metrics.counter("cvd.checkout.records_materialized");
+  struct Work {
+    uint64_t bytes = 0, scanned = 0, probes = 0, indexed = 0, shipped = 0,
+             carried = 0;
+  };
+  auto commit_work = [&](int64_t n) {
+    std::vector<std::pair<int64_t, std::string>> rows;
+    for (int64_t id = 1; id <= n; ++id) rows.emplace_back(id, "r");
+    std::vector<std::unique_ptr<core::Cvd>> cvds;
+    cvds.push_back(MakeCvd(rows, PkOptions()));
+    net::ServerOptions options;
+    options.listen = "unix:" + MakeTempDir() + "/sock";
+    auto server = net::SessionServer::Start(nullptr, std::move(cvds), options)
+                      .MoveValueOrDie();
+    auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+    const uint64_t sid = client->Open("t").MoveValueOrDie().sid;
+    Work work;
+    // The second commit runs against the key index the first one built.
+    for (const char* name : {"edit-a", "edit-b"}) {
+      const VersionId latest = client->Refresh(sid).MoveValueOrDie();
+      const uint64_t copied_before = copied.value();
+      const uint64_t materialized_before = materialized.value();
+      Table t = client->Checkout(sid, {latest}, "t").MoveValueOrDie();
+      // Keeping the base copies nothing beyond the materialization.
+      EXPECT_EQ(copied.value() - copied_before,
+                materialized.value() - materialized_before);
+      EXPECT_EQ(materialized.value() - materialized_before,
+                static_cast<uint64_t>(n));
+      SetName(&t, 7, name);
+      const Work before{wire.value(),    scanned.value(), probes.value(),
+                        indexed.value(), shipped.value(), carried.value()};
+      auto out = client->Commit(sid, t, "edit");
+      ORPHEUS_CHECK_OK(out.status());
+      work = Work{wire.value() - before.bytes,
+                  scanned.value() - before.scanned,
+                  probes.value() - before.probes,
+                  indexed.value() - before.indexed,
+                  shipped.value() - before.shipped,
+                  carried.value() - before.carried};
+    }
+    EXPECT_EQ(client->bases_held(), 0u);
+    EXPECT_EQ(work.carried, static_cast<uint64_t>(n - 1));
+    server->Stop();
+    return work;
+  };
+  const Work small = commit_work(100);
+  const Work large = commit_work(10000);
+  EXPECT_EQ(small.shipped, 1u);
+  EXPECT_EQ(small.scanned, 1u);
+  EXPECT_EQ(small.probes, 1u);
+  EXPECT_EQ(small.indexed, 0u);
+  EXPECT_GT(small.bytes, 0u);
+  EXPECT_EQ(small.bytes, large.bytes);
+  EXPECT_EQ(small.scanned, large.scanned);
+  EXPECT_EQ(small.probes, large.probes);
+  EXPECT_EQ(small.indexed, large.indexed);
+  EXPECT_EQ(small.shipped, large.shipped);
 }
 
 // ---------------------------------------------------------------------------
