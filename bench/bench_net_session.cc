@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -255,6 +256,41 @@ DegreeResult RunDegree(int degree, int iters, bool faulty, int seed_rows) {
   return result;
 }
 
+/// Remote checkout latency: one client checks out the same `rows`-record
+/// version `count` times from an in-memory server (no commits compete).
+/// Returns the per-checkout wall times in microseconds, sorted.
+std::vector<double> RunCheckouts(int rows, int count) {
+  Table seed("seed", Schema({{"id", ValueType::kInt64},
+                             {"score", ValueType::kDouble},
+                             {"name", ValueType::kString}}));
+  for (int i = 0; i < rows; ++i) {
+    ORPHEUS_CHECK_OK(seed.InsertRow({Value(static_cast<int64_t>(i + 1)),
+                                     Value(i * 0.25),
+                                     Value("r" + std::to_string(i))}));
+  }
+  core::Cvd::Options cvd_opts;
+  cvd_opts.primary_key = {"id"};
+  std::vector<std::unique_ptr<core::Cvd>> cvds;
+  cvds.push_back(core::Cvd::Init("t", seed, cvd_opts).MoveValueOrDie());
+  net::ServerOptions server_opts;
+  server_opts.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = net::SessionServer::Start(nullptr, std::move(cvds),
+                                          server_opts)
+                    .MoveValueOrDie();
+  auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+  const uint64_t sid = client->Open("t").MoveValueOrDie().sid;
+  std::vector<double> us;
+  us.reserve(count);
+  for (int i = 0; i < count; ++i) {
+    Timer timer;
+    ORPHEUS_CHECK_OK(client->Checkout(sid, {1}, "read").status());
+    us.push_back(timer.ElapsedSeconds() * 1e6);
+  }
+  server->Stop();
+  std::sort(us.begin(), us.end());
+  return us;
+}
+
 void Run(int argc, char** argv) {
   const int scale = ParseScale(argc, argv);
   const int iters = 10 * scale;
@@ -299,6 +335,18 @@ void Run(int argc, char** argv) {
   std::cout << "\n=== Remote sessions: wire-protocol commits, clean vs "
                "~5%-fault network (exactly-once audited) ===\n";
   table.Print(std::cout);
+
+  // 1000 samples leave ten beyond the p99.
+  const int checkout_rows = 5000;
+  const int checkouts = 1000;
+  const std::vector<double> us = RunCheckouts(checkout_rows, checkouts);
+  const double p50 = us[us.size() / 2];
+  const double p99 = us[us.size() * 99 / 100];
+  reg.gauge("bench.net_session.checkout.p50_us").Set(static_cast<int64_t>(p50));
+  reg.gauge("bench.net_session.checkout.p99_us").Set(static_cast<int64_t>(p99));
+  std::cout << "\n=== Remote checkout of one " << checkout_rows
+            << "-record version (" << checkouts << " checkouts) ===\n"
+            << StrFormat("p50 %.0f us, p99 %.0f us\n", p50, p99);
 }
 
 }  // namespace

@@ -514,35 +514,52 @@ void RidSet::IntersectToRows(const int64_t* rids, size_t n,
                       static_cast<int64_t>(n));
 }
 
-std::vector<int64_t> RidSet::ToVector() const {
-  std::vector<int64_t> out;
-  out.reserve(cardinality_);
-  for (const Container& c : containers_) {
+namespace {
+
+// Call `f` on every value of `containers`, ascending.
+template <typename F>
+void ForEachValue(const std::vector<RidSet::Container>& containers, F f) {
+  for (const RidSet::Container& c : containers) {
     switch (c.type) {
-      case ContainerType::kArray:
-        for (uint16_t low : c.u16) out.push_back(ChunkValue(c.key, low));
+      case RidSet::ContainerType::kArray:
+        for (uint16_t low : c.u16) f(ChunkValue(c.key, low));
         break;
-      case ContainerType::kBitmap:
+      case RidSet::ContainerType::kBitmap:
         for (size_t i = 0; i < kWordsPerChunk; ++i) {
           uint64_t x = c.words[i];
           while (x) {
-            out.push_back(ChunkValue(
-                c.key,
-                static_cast<uint16_t>((i << 6) + std::countr_zero(x))));
+            const auto low =
+                static_cast<uint16_t>((i << 6) + std::countr_zero(x));
+            f(ChunkValue(c.key, low));
             x &= x - 1;
           }
         }
         break;
-      case ContainerType::kRun:
+      case RidSet::ContainerType::kRun:
         for (size_t r = 0; r + 1 < c.u16.size(); r += 2) {
           for (uint32_t low = c.u16[r]; low <= c.u16[r + 1]; ++low) {
-            out.push_back(ChunkValue(c.key, static_cast<uint16_t>(low)));
+            f(ChunkValue(c.key, static_cast<uint16_t>(low)));
           }
         }
         break;
     }
   }
+}
+
+}  // namespace
+
+std::vector<int64_t> RidSet::ToVector() const {
+  std::vector<int64_t> out;
+  out.reserve(cardinality_);
+  ForEachValue(containers_, [&out](int64_t v) { out.push_back(v); });
   return out;
+}
+
+void RidSet::ValuesAsRows(int64_t n, std::vector<uint32_t>* rows_out) const {
+  rows_out->reserve(rows_out->size() + cardinality_);
+  ForEachValue(containers_, [n, rows_out](int64_t v) {
+    if (v >= 0 && v < n) rows_out->push_back(static_cast<uint32_t>(v));
+  });
 }
 
 const std::vector<int64_t>& RidSet::Materialized() const {

@@ -96,6 +96,11 @@ class RidSet {
                        std::vector<uint32_t>* rows_out,
                        uint32_t base_row = 0) const;
 
+  /// Positional checkout kernel, for a rid column that holds rid r at row r
+  /// for every r in [0, n): append every value in [0, n) to `rows_out` as a
+  /// row index, ascending. O(size()), and scans no rid column.
+  void ValuesAsRows(int64_t n, std::vector<uint32_t>* rows_out) const;
+
   /// Decompress to a fresh ascending vector.
   std::vector<int64_t> ToVector() const;
 

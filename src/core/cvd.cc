@@ -1,6 +1,7 @@
 #include "core/cvd.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/metrics.h"
@@ -171,61 +172,89 @@ Status Cvd::ValidateVersion(VersionId vid) const {
   return Status::OK();
 }
 
-Result<minidb::Table> Cvd::Materialize(const std::vector<VersionId>& vids,
-                                       const std::string& table_name) const {
+Result<RowSelection> Cvd::Select(const std::vector<VersionId>& vids) const {
   if (vids.empty()) {
     return Status::InvalidArgument("checkout requires at least one version");
   }
   for (VersionId vid : vids) ORPHEUS_RETURN_NOT_OK(ValidateVersion(vid));
 
-  ORPHEUS_TRACE_SPAN("cvd.checkout");
+  ORPHEUS_TRACE_SPAN("cvd.select");
   ORPHEUS_COUNTER_ADD("cvd.checkout.versions_merged", vids.size());
 
-  // Materialize the first (highest-precedence) version.
-  auto first = backend_->Checkout(DenseId(vids[0]), table_name);
-  if (!first.ok()) return first.status();
-  Table merged = first.MoveValueOrDie();
-
+  // The first (highest-precedence) version.
+  ORPHEUS_ASSIGN_OR_RETURN(RowSelection merged,
+                           backend_->Select(DenseId(vids[0])));
   if (vids.size() > 1) {
     // Precedence merge on the primary key: a record whose PK was already
     // added is omitted (Sec. 3.3.1). Without a PK, rid identity is used.
-    // Keys compare typed; every version materializes at the same schema.
+    // Keys compare typed; every version selects at the same schema.
+    ORPHEUS_TRACE_SPAN("cvd.merge");
+    std::vector<RowSelection> parts;
+    parts.push_back(std::move(merged));
+    for (size_t i = 1; i < vids.size(); ++i) {
+      ORPHEUS_ASSIGN_OR_RETURN(RowSelection next,
+                               backend_->Select(DenseId(vids[i])));
+      parts.push_back(std::move(next));
+    }
+    // Versions selected from one table merge as a row selection; otherwise
+    // (a-table-per-version, delta-based) each is copied out and the kept
+    // rows are appended to the first.
+    bool shared = true;
+    for (const RowSelection& part : parts) {
+      shared = shared && part.table == parts[0].table &&
+               part.cols == parts[0].cols;
+    }
+    if (!shared) {
+      for (RowSelection& part : parts) {
+        part = RowSelection::Own(std::move(part).Materialize("merge"));
+      }
+    }
     std::vector<int> key_cols;
     for (const auto& pk : options_.primary_key) {
-      int c = merged.schema().FindColumn(pk);
-      if (c >= 0) key_cols.push_back(c);
+      int k = backend_->data_schema().FindColumn(pk);
+      if (k >= 0) key_cols.push_back(parts[0].cols[k + 1]);
     }
-    if (key_cols.empty()) key_cols.push_back(0);
-    ORPHEUS_TRACE_SPAN("cvd.merge");
+    if (key_cols.empty()) key_cols.push_back(parts[0].cols[0]);
     const RowKeyOf key_of(std::move(key_cols), {});
-    RowKeySet seen(merged.num_rows() * 2, key_of, key_of);
-    for (uint32_t r = 0; r < merged.num_rows(); ++r) seen.insert({&merged, r});
-    uint64_t scanned = merged.num_rows();
+    RowKeySet seen(parts[0].rows.size() * 2, key_of, key_of);
+    for (uint32_t r : parts[0].rows) seen.insert({parts[0].table, r});
+    uint64_t scanned = parts[0].rows.size();
     uint64_t deduped = 0;
-    for (size_t i = 1; i < vids.size(); ++i) {
-      auto next = backend_->Checkout(DenseId(vids[i]), "tmp");
-      if (!next.ok()) return next.status();
-      const Table& t = *next;
-      scanned += t.num_rows();
+    for (size_t i = 1; i < parts.size(); ++i) {
+      const RowSelection& part = parts[i];
+      scanned += part.rows.size();
       std::vector<uint32_t> keep;
-      for (uint32_t r = 0; r < t.num_rows(); ++r) {
-        if (seen.count({&t, r}) == 0) keep.push_back(r);
+      for (uint32_t r : part.rows) {
+        if (seen.count({part.table, r}) == 0) keep.push_back(r);
       }
-      deduped += t.num_rows() - keep.size();
+      deduped += part.rows.size() - keep.size();
       // A version's keys are distinct, so its kept rows join the seen set
-      // once they live in `merged` (`t` dies with this iteration).
-      const uint32_t first = static_cast<uint32_t>(merged.num_rows());
-      merged.AppendFrom(t, keep);
-      for (uint32_t r = first; r < merged.num_rows(); ++r) {
-        seen.insert({&merged, r});
+      // once they are all chosen.
+      for (uint32_t r : keep) seen.insert({part.table, r});
+      if (shared) {
+        parts[0].rows.insert(parts[0].rows.end(), keep.begin(), keep.end());
+      } else {
+        parts[0].owned->AppendFrom(*part.table, keep);
       }
     }
+    if (!shared) {
+      parts[0].rows.resize(parts[0].owned->num_rows());
+      std::iota(parts[0].rows.begin(), parts[0].rows.end(), 0u);
+    }
+    merged = std::move(parts[0]);
     ORPHEUS_COUNTER_ADD("cvd.merge.rows_scanned", scanned);
     ORPHEUS_COUNTER_ADD("cvd.merge.rows_deduped", deduped);
   }
 
-  ORPHEUS_COUNTER_ADD("cvd.checkout.records_materialized", merged.num_rows());
+  ORPHEUS_COUNTER_ADD("cvd.checkout.records_materialized", merged.rows.size());
   return merged;
+}
+
+Result<minidb::Table> Cvd::Materialize(const std::vector<VersionId>& vids,
+                                       const std::string& table_name) const {
+  ORPHEUS_TRACE_SPAN("cvd.checkout");
+  ORPHEUS_ASSIGN_OR_RETURN(RowSelection sel, Select(vids));
+  return std::move(sel).Materialize(table_name);
 }
 
 Status Cvd::Checkout(const std::vector<VersionId>& vids,
@@ -632,17 +661,16 @@ Result<minidb::Table> Cvd::Diff(VersionId a, VersionId b) const {
   auto only = VDiff(a, b);
   if (!only.ok()) return only.status();
   std::unordered_set<RecordId> keep(only->begin(), only->end());
-  auto mat = backend_->Checkout(DenseId(a), StrFormat("diff_%d_%d", a, b));
-  if (!mat.ok()) return mat.status();
-  const Table& t = *mat;
+  ORPHEUS_ASSIGN_OR_RETURN(RowSelection sel, backend_->Select(DenseId(a)));
+  const auto& rids = sel.table->column(sel.cols[0]).int_data();
   std::vector<uint32_t> rows;
-  const auto& rids = t.column(0).int_data();
-  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+  for (uint32_t r : sel.rows) {
     if (keep.count(rids[r])) rows.push_back(r);
   }
-  ORPHEUS_COUNTER_ADD("cvd.diff.rows_scanned", t.num_rows());
+  ORPHEUS_COUNTER_ADD("cvd.diff.rows_scanned", sel.rows.size());
   ORPHEUS_COUNTER_ADD("cvd.diff.rows_out", rows.size());
-  return t.CopyRows(rows, StrFormat("diff_%d_%d", a, b));
+  sel.rows = std::move(rows);
+  return std::move(sel).Materialize(StrFormat("diff_%d_%d", a, b));
 }
 
 Result<std::vector<RecordId>> Cvd::VersionRecords(VersionId vid) const {

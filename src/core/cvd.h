@@ -121,11 +121,16 @@ class Cvd {
   Status Checkout(const std::vector<VersionId>& vids,
                   const std::string& table_name, minidb::Database* staging);
 
-  /// The read-only core of Checkout: materialize one or more versions into
-  /// a free-standing table (column 0 is `_rid`), with the same precedence
-  /// merge, but without registering a staging table or ticking the logical
-  /// clock. Const — safe to call concurrently with other const reads; the
-  /// session layer runs it under a shared (reader) lock.
+  /// The rows of one or more versions with the same precedence merge, as a
+  /// selection over the backend's tables (column 0 is `_rid`): no copy,
+  /// no staging table, no logical-clock tick. A borrowed selection is valid
+  /// only until the CVD is next mutated (RowSelection). Const — safe to
+  /// call concurrently with other const reads; the session layer runs it
+  /// under a shared (reader) lock and uses the result under that lock.
+  Result<RowSelection> Select(const std::vector<VersionId>& vids) const;
+
+  /// The read-only core of Checkout: Select, then copy the rows into a
+  /// free-standing table named `table_name`.
   Result<minidb::Table> Materialize(const std::vector<VersionId>& vids,
                                     const std::string& table_name) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/ridset.h"
@@ -50,6 +51,70 @@ Result<minidb::Row> DataModelBackend::GetRecordPayload(RecordId rid,
         at->table->GetValue(at->row, PayloadColumn(static_cast<int>(k))));
   }
   return out;
+}
+
+RowSelection RowSelection::Of(const Table& table,
+                              std::vector<uint32_t> rows) {
+  RowSelection sel;
+  sel.table = &table;
+  sel.rows = std::move(rows);
+  sel.cols.resize(table.num_columns());
+  std::iota(sel.cols.begin(), sel.cols.end(), 0);
+  return sel;
+}
+
+RowSelection RowSelection::All(const Table& table) {
+  std::vector<uint32_t> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return Of(table, std::move(rows));
+}
+
+RowSelection RowSelection::Own(Table table) {
+  auto owned = std::make_unique<Table>(std::move(table));
+  RowSelection sel = All(*owned);
+  sel.owned = std::move(owned);
+  return sel;
+}
+
+Schema RowSelection::schema() const {
+  std::vector<ColumnDef> defs;
+  defs.reserve(cols.size());
+  for (int c : cols) defs.push_back(table->schema().column(c));
+  return Schema(std::move(defs));
+}
+
+std::vector<RecordId> RowSelection::SortedRids() const {
+  // Column 0 of a checkout is `_rid`, never NULL.
+  const std::vector<int64_t>& ids = table->column(cols[0]).int_data();
+  std::vector<RecordId> rids;
+  rids.reserve(rows.size());
+  for (uint32_t r : rows) rids.push_back(ids[r]);
+  if (!std::is_sorted(rids.begin(), rids.end())) {
+    std::sort(rids.begin(), rids.end());
+  }
+  return rids;
+}
+
+Table RowSelection::Materialize(std::string name) && {
+  auto is_iota = [](const auto& v) {
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (static_cast<size_t>(v[i]) != i) return false;
+    }
+    return true;
+  };
+  if (owned != nullptr && rows.size() == owned->num_rows() &&
+      cols.size() == owned->num_columns() && is_iota(rows) && is_iota(cols)) {
+    Table out = std::move(*owned);
+    out.set_name(std::move(name));
+    return out;
+  }
+  return table->ProjectRows(rows, cols, std::move(name));
+}
+
+Result<Table> DataModelBackend::Checkout(int vid,
+                                         const std::string& out) const {
+  ORPHEUS_ASSIGN_OR_RETURN(RowSelection sel, Select(vid));
+  return std::move(sel).Materialize(out);
 }
 
 std::unique_ptr<DataModelBackend> DataModelBackend::Create(
@@ -152,12 +217,10 @@ Result<std::vector<RecordId>> ATablePerVersionBackend::VersionRecords(
   return out;
 }
 
-Result<minidb::Table> ATablePerVersionBackend::Checkout(
-    int vid, const std::string& out) const {
+Result<RowSelection> ATablePerVersionBackend::Select(int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
-  // Simply read the version's table out in full.
-  Table t = version_tables_[vid].Clone(out);
-  return t;
+  // The version's table is the version, read out in full.
+  return RowSelection::All(version_tables_[vid]);
 }
 
 std::optional<DataModelBackend::RecordLocation>
@@ -267,18 +330,18 @@ Result<std::vector<RecordId>> CombinedTableBackend::VersionRecords(
   return out;
 }
 
-Result<minidb::Table> CombinedTableBackend::Checkout(
-    int vid, const std::string& out) const {
+Result<RowSelection> CombinedTableBackend::Select(int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
   // One full scan with the array-containment filter (Table 4.1 checkout).
-  std::vector<uint32_t> rows = combined_.SelectRowsArrayContains(vlist_col_, vid);
-  std::vector<int> cols;
-  cols.reserve(data_schema_.num_columns() + 1);
-  cols.push_back(0);  // _rid
+  RowSelection sel;
+  sel.table = &combined_;
+  sel.rows = combined_.SelectRowsArrayContains(vlist_col_, vid);
+  sel.cols.reserve(data_schema_.num_columns() + 1);
+  sel.cols.push_back(0);  // _rid
   for (size_t k = 0; k < data_schema_.num_columns(); ++k) {
-    cols.push_back(PayloadColumn(static_cast<int>(k)));
+    sel.cols.push_back(PayloadColumn(static_cast<int>(k)));
   }
-  return combined_.ProjectRows(rows, cols, out);
+  return sel;
 }
 
 std::optional<DataModelBackend::RecordLocation>
@@ -363,8 +426,7 @@ Result<std::vector<RecordId>> SplitByVlistBackend::VersionRecords(
   return out;
 }
 
-Result<minidb::Table> SplitByVlistBackend::Checkout(
-    int vid, const std::string& out) const {
+Result<RowSelection> SplitByVlistBackend::Select(int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
   // Scan the versioning table for rids in the version...
   std::vector<uint32_t> vrows = versioning_.SelectRowsArrayContains(1, vid);
@@ -373,10 +435,9 @@ Result<minidb::Table> SplitByVlistBackend::Checkout(
   const auto& rids = versioning_.column(0).int_data();
   for (uint32_t r : vrows) rlist.push_back(rids[r]);
   // ... then hash-join with the data table.
-  std::vector<uint32_t> rows = minidb::JoinRids(
-      data_, 0, rlist, minidb::JoinAlgorithm::kHashJoin,
-      /*clustered_on_rid=*/true);
-  return data_.CopyRows(rows, out);
+  return RowSelection::Of(
+      data_, minidb::JoinRids(data_, 0, rlist, minidb::JoinAlgorithm::kHashJoin,
+                              /*clustered_on_rid=*/true));
 }
 
 std::optional<DataModelBackend::RecordLocation>
@@ -447,27 +508,47 @@ Result<std::vector<RecordId>> SplitByRlistBackend::VersionRecords(
   return std::vector<RecordId>(rlist.begin(), rlist.end());
 }
 
-Result<minidb::Table> SplitByRlistBackend::Checkout(
-    int vid, const std::string& out) const {
+bool SplitByRlistBackend::RidIsRow() const {
+  const auto& rids = data_.column(0).int_data();
+  return data_rid_ascending_ &&
+         (rids.empty() ||
+          (rids.front() == 0 &&
+           rids.back() == static_cast<int64_t>(rids.size()) - 1));
+}
+
+Result<RowSelection> SplitByRlistBackend::Select(int vid) const {
   // Primary-key index lookup on vid, unnest(rlist)...
   auto row = versioning_.LookupUniqueInt(0, vid);
   if (!row) return BadVersion(vid);
+  const auto& rlist_set = versioning_.column(1).GetRidSet(*row);
+  if (join_algo_ == minidb::JoinAlgorithm::kHashJoin && RidIsRow()) {
+    // Commits append fresh ascending rids from 0, so row r holds rid r and
+    // the rlist names the rows itself: no join at all, O(|R_k|).
+    const int64_t n = static_cast<int64_t>(data_.num_rows());
+    std::vector<uint32_t> rows;
+    if (rlist_set) {
+      rlist_set->ValuesAsRows(n, &rows);
+    } else {
+      for (int64_t rid : versioning_.column(1).GetIntArray(*row)) {
+        if (rid >= 0 && rid < n) rows.push_back(static_cast<uint32_t>(rid));
+      }
+    }
+    return RowSelection::Of(data_, std::move(rows));
+  }
   // Compressed rlists skip unnesting entirely: the containment join runs
   // against the packed containers (IntersectToRows when the data table is
   // rid-ascending, a parallel probe scan otherwise). An explicitly chosen
   // non-default join algorithm (the Sec. 5.5.5 ablation) still runs its
   // requested plan over the materialized rlist.
-  const auto& rlist_set = versioning_.column(1).GetRidSet(*row);
   if (rlist_set && join_algo_ == minidb::JoinAlgorithm::kHashJoin) {
-    std::vector<uint32_t> rows =
-        minidb::JoinRidSet(data_, 0, *rlist_set, data_rid_ascending_);
-    return data_.CopyRows(rows, out);
+    return RowSelection::Of(
+        data_, minidb::JoinRidSet(data_, 0, *rlist_set, data_rid_ascending_));
   }
   const auto& rlist = versioning_.column(1).GetIntArray(*row);
   // ... then join rids with the data table (hash-join by default).
-  std::vector<uint32_t> rows =
-      minidb::JoinRids(data_, 0, rlist, join_algo_, /*clustered_on_rid=*/true);
-  return data_.CopyRows(rows, out);
+  return RowSelection::Of(
+      data_, minidb::JoinRids(data_, 0, rlist, join_algo_,
+                              /*clustered_on_rid=*/true));
 }
 
 std::optional<DataModelBackend::RecordLocation>
@@ -590,12 +671,11 @@ Result<std::vector<RecordId>> DeltaBasedBackend::VersionRecords(
   return membership_[vid];
 }
 
-Result<minidb::Table> DeltaBasedBackend::Checkout(
-    int vid, const std::string& out) const {
+Result<RowSelection> DeltaBasedBackend::Select(int vid) const {
   if (vid < 0 || vid >= num_versions_) return BadVersion(vid);
   // Trace the version lineage back to the root via `base` links, probing
   // each delta table for still-needed records (newer occurrences win).
-  Table result(out, MaterializedSchema());
+  Table result("delta_checkout", MaterializedSchema());
   std::unordered_set<RecordId> needed(membership_[vid].begin(),
                                       membership_[vid].end());
   int v = vid;
@@ -622,7 +702,7 @@ Result<minidb::Table> DeltaBasedBackend::Checkout(
   if (!needed.empty()) {
     return Status::Corruption("delta chain did not cover the version");
   }
-  return result;
+  return RowSelection::Own(std::move(result));
 }
 
 std::optional<DataModelBackend::RecordLocation>

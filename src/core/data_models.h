@@ -34,6 +34,38 @@ struct NewRecord {
   minidb::Row data;
 };
 
+/// A checkout as rows of one physical table (DESIGN.md §11.3): output row i
+/// is source row `rows[i]`, and output column j — `_rid`, then the data
+/// attributes — is source column `cols[j]`.
+///
+/// The source is either borrowed from the backend or owned by the
+/// selection (`owned`, for models that assemble a version from several
+/// tables). A borrowed selection reads the backend's live tables: it is
+/// valid only until the CVD is next mutated, so a concurrent reader must
+/// hold the session layer's reader lock for as long as it uses one.
+struct RowSelection {
+  const minidb::Table* table = nullptr;
+  std::vector<uint32_t> rows;
+  std::vector<int> cols;
+  std::unique_ptr<minidb::Table> owned;  // non-null: `table` points here
+
+  /// Rows `rows` of every column of `table`, borrowed.
+  static RowSelection Of(const minidb::Table& table,
+                         std::vector<uint32_t> rows);
+  /// Every row and column of `table`, borrowed.
+  static RowSelection All(const minidb::Table& table);
+  /// Every row and column of `table`, owned.
+  static RowSelection Own(minidb::Table table);
+
+  /// Schema of the selected columns ([_rid, data attributes...]).
+  minidb::Schema schema() const;
+  /// Rids of the selected rows, sorted.
+  std::vector<RecordId> SortedRids() const;
+  /// Copy the selected rows into a free-standing table named `name` (an
+  /// owned table that is already the whole selection is moved out).
+  minidb::Table Materialize(std::string name) &&;
+};
+
 /// Physical storage backend for one CVD. Versions are dense indices assigned
 /// by the caller in commit order; rids are assigned by the record manager.
 ///
@@ -61,10 +93,13 @@ class DataModelBackend {
   /// Sorted rids of version `vid`.
   virtual Result<std::vector<RecordId>> VersionRecords(int vid) const = 0;
 
+  /// The rows of version `vid` (see RowSelection for how long a borrowed
+  /// selection stays valid).
+  virtual Result<RowSelection> Select(int vid) const = 0;
+
   /// Materialize version `vid` as a table named `out` with schema
-  /// [_rid, data attributes...].
-  virtual Result<minidb::Table> Checkout(int vid,
-                                         const std::string& out) const = 0;
+  /// [_rid, data attributes...]: Select, then copy.
+  Result<minidb::Table> Checkout(int vid, const std::string& out) const;
 
   /// Where stored record `rid` lives: row `row` of `table`, whose data
   /// attribute k sits at column PayloadColumn(k). Every physical table is
@@ -130,8 +165,7 @@ class ATablePerVersionBackend final : public DataModelBackend {
                     const std::vector<NewRecord>& new_records,
                     const std::vector<int>& parents) override;
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
-  Result<minidb::Table> Checkout(int vid,
-                                 const std::string& out) const override;
+  Result<RowSelection> Select(int vid) const override;
   std::optional<RecordLocation> LocateRecord(
       RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
@@ -154,8 +188,7 @@ class CombinedTableBackend final : public DataModelBackend {
                     const std::vector<NewRecord>& new_records,
                     const std::vector<int>& parents) override;
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
-  Result<minidb::Table> Checkout(int vid,
-                                 const std::string& out) const override;
+  Result<RowSelection> Select(int vid) const override;
   std::optional<RecordLocation> LocateRecord(
       RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
@@ -185,8 +218,7 @@ class SplitByVlistBackend final : public DataModelBackend {
                     const std::vector<NewRecord>& new_records,
                     const std::vector<int>& parents) override;
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
-  Result<minidb::Table> Checkout(int vid,
-                                 const std::string& out) const override;
+  Result<RowSelection> Select(int vid) const override;
   std::optional<RecordLocation> LocateRecord(
       RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
@@ -211,15 +243,14 @@ class SplitByRlistBackend final : public DataModelBackend {
                     const std::vector<NewRecord>& new_records,
                     const std::vector<int>& parents) override;
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
-  Result<minidb::Table> Checkout(int vid,
-                                 const std::string& out) const override;
+  Result<RowSelection> Select(int vid) const override;
   std::optional<RecordLocation> LocateRecord(
       RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;
   Status AddAttribute(const minidb::ColumnDef& def) override;
   Status WidenAttribute(int attr_idx, minidb::ValueType to) override;
 
-  /// The join strategy used by Checkout; hash-join by default (Sec. 5.5.5).
+  /// The join strategy used by Select; hash-join by default (Sec. 5.5.5).
   void set_join_algorithm(minidb::JoinAlgorithm algo) { join_algo_ = algo; }
 
   /// Direct access for the partition optimizer.
@@ -229,6 +260,11 @@ class SplitByRlistBackend final : public DataModelBackend {
  private:
   minidb::Table data_;        // [_rid, attrs...]
   minidb::Table versioning_;  // [vid, rlist]
+  /// True when data-table row r holds rid r (O(1): the rids ascend, are
+  /// unique under the index, and run from 0 to num_rows - 1), so a
+  /// version's rids are its rows.
+  bool RidIsRow() const;
+
   minidb::JoinAlgorithm join_algo_ = minidb::JoinAlgorithm::kHashJoin;
   /// True while the data table's rid column is an ascending run (commits
   /// append fresh increasing rids, so this holds in the common case);
@@ -250,8 +286,7 @@ class DeltaBasedBackend final : public DataModelBackend {
                     const std::vector<NewRecord>& new_records,
                     const std::vector<int>& parents) override;
   Result<std::vector<RecordId>> VersionRecords(int vid) const override;
-  Result<minidb::Table> Checkout(int vid,
-                                 const std::string& out) const override;
+  Result<RowSelection> Select(int vid) const override;
   std::optional<RecordLocation> LocateRecord(
       RecordId rid, int version_hint) const override;
   uint64_t StorageBytes() const override;

@@ -25,6 +25,53 @@ void Column::Reserve(size_t n) {
   }
 }
 
+namespace {
+
+template <typename T>
+void Gather(std::vector<T>* out, const std::vector<T>& in,
+            const uint32_t* rows, size_t n) {
+  const size_t old = out->size();
+  out->resize(old + n);
+  T* dst = out->data() + old;
+  for (size_t i = 0; i < n; ++i) dst[i] = in[rows[i]];
+}
+
+}  // namespace
+
+void Column::AppendRows(const Column& src, const uint32_t* rows, size_t n) {
+  // Reserving exactly on every call would reallocate on each of many small
+  // appends (a delta-chain checkout appends once per delta); a fresh
+  // column is the copy a checkout fills in one call.
+  if (size_ == 0) Reserve(n);
+  if (type_ == src.type_ && src.valid_.empty() &&
+      (type_ == ValueType::kInt64 || type_ == ValueType::kDouble)) {
+    if (type_ == ValueType::kInt64) {
+      Gather(&ints_, src.ints_, rows, n);
+    } else {
+      Gather(&doubles_, src.doubles_, rows, n);
+    }
+    size_ += n;
+    if (!valid_.empty()) valid_.resize(size_, 1);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t r = rows[i];
+    if (src.IsNull(r)) {
+      AppendNull();
+    } else if (type_ != src.type_) {
+      AppendValue(src.GetValue(r));
+    } else if (type_ == ValueType::kInt64) {
+      AppendInt(src.ints_[r]);
+    } else if (type_ == ValueType::kDouble) {
+      AppendDouble(src.doubles_[r]);
+    } else if (type_ == ValueType::kString) {
+      AppendString(src.strings_[r]);
+    } else {
+      AppendValue(src.GetValue(r));
+    }
+  }
+}
+
 void Column::AppendNull() {
   EnsureValidity();
   switch (type_) {

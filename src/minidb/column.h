@@ -72,6 +72,11 @@ class Column {
   /// Reserve room for `n` more cells.
   void Reserve(size_t n);
 
+  /// Append cells `rows[0..n)` of `src`, in order. A NULL source cell
+  /// appends a NULL; when `src` has no NULLs and the types match, numeric
+  /// cells are copied by one gather loop.
+  void AppendRows(const Column& src, const uint32_t* rows, size_t n);
+
   /// Append a NULL cell (records a validity hole; the physical slot holds a
   /// zero value).
   void AppendNull();

@@ -202,22 +202,8 @@ void Table::AppendFrom(const Table& src, const std::vector<uint32_t>& rows,
   // preserved, so the result is layout-identical to the serial fill.
   const size_t ncols = columns_.size();
   auto fill_column = [this, &src, &rows, src_cols](size_t c) {
-    const Column& in = src.columns_[src_cols ? (*src_cols)[c] : c];
-    Column& out = columns_[c];
-    switch (in.type()) {
-      case ValueType::kInt64:
-        for (uint32_t r : rows) {
-          if (in.IsNull(r)) {
-            out.AppendNull();
-          } else {
-            out.AppendInt(in.GetInt(r));
-          }
-        }
-        break;
-      default:
-        for (uint32_t r : rows) out.AppendValue(in.GetValue(r));
-        break;
-    }
+    columns_[c].AppendRows(src.columns_[src_cols ? (*src_cols)[c] : c],
+                           rows.data(), rows.size());
   };
   if (rows.size() >= 4096 && ncols > 1) {
     ParallelFor(0, ncols, 1, [&fill_column](size_t lo, size_t hi) {

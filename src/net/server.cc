@@ -240,11 +240,13 @@ void SessionServer::HandleConnection(std::shared_ptr<Socket> sock,
     std::string encoded =
         Dispatch(client_uuid, req.MoveValueOrDie());
     if (FireConnDrop("net.server.drop_before_send")) break;
-    if (!SendMessage(sock.get(), MsgType::kResponse, encoded,
-                     Deadline::AfterMillis(10000))
-             .ok()) {
-      break;
+    Status sent;
+    {
+      ORPHEUS_TRACE_SPAN("net.server.send");
+      sent = SendMessage(sock.get(), MsgType::kResponse, encoded,
+                         Deadline::AfterMillis(10000));
     }
+    if (!sent.ok()) break;
   }
 
   {
@@ -305,10 +307,12 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
     }
   }
 
+  if (req.op == Op::kCheckout) {
+    std::string encoded = HandleCheckout(rs, req);
+    ReleaseSession(rs);
+    return encoded;
+  }
   switch (req.op) {
-    case Op::kCheckout:
-      resp = HandleCheckout(rs, req);
-      break;
     case Op::kCommit:
       resp = HandleCommit(rs, req);
       break;
@@ -325,14 +329,7 @@ std::string SessionServer::Dispatch(const std::string& client_uuid,
           false);
       break;
   }
-  // Encode while the session is still claimed: a checkout reply reads the
-  // session's staged table in place instead of a private copy. Once it is
-  // encoded, the staged checkout keeps only its parents and rids — the
-  // client's commit ships a changeset against those.
   std::string encoded = EncodeResponse(resp);
-  if (req.op == Op::kCheckout && resp.ok()) {
-    ORPHEUS_CHECK_OK(rs->session->DropStagedRows(req.table_name));
-  }
   ReleaseSession(rs);
   // A commit's FINAL verdict (success or definitive error) enters the
   // replay window; a durability timeout does not — the retry must resume
@@ -441,31 +438,37 @@ Response SessionServer::HandleOpen(const std::string& client_uuid,
   return resp;
 }
 
-Response SessionServer::HandleCheckout(RemoteSession* rs,
-                                       const Request& req) {
+std::string SessionServer::HandleCheckout(RemoteSession* rs,
+                                          const Request& req) {
+  ORPHEUS_TRACE_SPAN("net.server.checkout");
   Response resp;
   resp.request_seq = req.request_seq;
   resp.op = req.op;
   session::Session* session = rs->session.get();
   // Idempotent re-checkout: a retry after a lost response finds the
-  // checkout already staged — discard and redo rather than failing
-  // "exists". Redoing it stages the same rids the client's base holds.
+  // checkout already kept — discard and redo rather than failing
+  // "exists". Redoing it keeps the same rids the client's base holds.
   if (session->CheckoutParents(req.table_name) != nullptr) {
     Status discarded = session->DiscardStaging(req.table_name);
     if (!discarded.ok()) {
       resp.SetStatus(discarded, false);
-      return resp;
+      return EncodeResponse(resp);
     }
   }
-  Status s = session->Checkout(req.vids, req.table_name);
+  // The reply is gathered from the shared tables while the session layer
+  // holds its reader lock; the session keeps only the checkout's parents,
+  // schema and rids, against which the client's commit ships a changeset.
+  std::string encoded;
+  Status s = session->CheckoutSelection(
+      req.vids, req.table_name, [&](const core::RowSelection& sel) {
+        ORPHEUS_TRACE_SPAN("encode");
+        encoded = EncodeCheckoutResponse(resp, sel, req.table_name);
+      });
   if (!s.ok()) {
     resp.SetStatus(s, false);
-    return resp;
+    return EncodeResponse(resp);
   }
-  // Borrowed, not copied: Dispatch encodes the reply before it releases
-  // the session, and only the claiming thread touches its staging area.
-  resp.table = session->table(req.table_name);
-  return resp;
+  return encoded;
 }
 
 Response SessionServer::HandleCommit(RemoteSession* rs,

@@ -129,7 +129,9 @@ class SessionServer {
   std::string Dispatch(const std::string& client_uuid, Request req);
 
   Response HandleOpen(const std::string& client_uuid, const Request& req);
-  Response HandleCheckout(RemoteSession* rs, const Request& req);
+  /// Returns the encoded reply: an OK one is gathered from the version's
+  /// rows under the session layer's reader lock (no staged copy).
+  std::string HandleCheckout(RemoteSession* rs, const Request& req);
   Response HandleCommit(RemoteSession* rs, const Request& req);
   Response HandleRefresh(RemoteSession* rs, const Request& req);
   Response HandleLs(const Request& req);

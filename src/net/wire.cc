@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
 #include "minidb/schema.h"
 
@@ -187,38 +188,84 @@ uint64_t MinBitsPerRow(ValueType type) {
   return 1;
 }
 
-void EncodeColumn(const Column& col, size_t nrows, Encoder* enc) {
+/// The cells of a numeric column at `rows[0..n)` (every row when `rows` is
+/// null), a NULL cell as a zero slot.
+template <typename T>
+void PutNumericCells(const Column& col, const std::vector<T>& data,
+                     const uint32_t* rows, size_t n, bool has_nulls,
+                     Encoder* enc) {
+  if (rows == nullptr && !has_nulls) {
+    enc->PutBytes(data.data(), n * sizeof(T));
+    return;
+  }
+  char* dst = enc->Extend(n * sizeof(T));
+  if (!has_nulls) {
+    for (size_t i = 0; i < n; ++i) {
+      std::memcpy(dst + i * sizeof(T), &data[rows[i]], sizeof(T));
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows != nullptr ? rows[i] : i;
+    const T v = col.IsNull(r) ? T{} : data[r];
+    std::memcpy(dst + i * sizeof(T), &v, sizeof(T));
+  }
+}
+
+/// One column section over `rows[0..n)` (every row when `rows` is null). A
+/// NULL cell encodes as a zero slot whatever its physical slot holds, so a
+/// gathered column's bytes equal those of its copy.
+void EncodeColumn(const Column& col, const uint32_t* rows, size_t n,
+                  Encoder* enc) {
+  auto row = [rows](size_t i) -> size_t {
+    return rows != nullptr ? rows[i] : i;
+  };
   enc->PutU8(static_cast<uint8_t>(col.type()));
   bool has_nulls = false;
-  for (size_t r = 0; r < nrows && !has_nulls; ++r) has_nulls = col.IsNull(r);
+  for (size_t i = 0; i < n && !has_nulls; ++i) has_nulls = col.IsNull(row(i));
   enc->PutU8(has_nulls ? 1 : 0);
   if (has_nulls) {
-    std::string validity((nrows + 7) / 8, '\0');
-    for (size_t r = 0; r < nrows; ++r) {
-      if (!col.IsNull(r)) validity[r / 8] |= static_cast<char>(1 << (r % 8));
+    char* validity = enc->Extend((n + 7) / 8);
+    for (size_t i = 0; i < n; ++i) {
+      if (!col.IsNull(row(i))) {
+        validity[i / 8] |= static_cast<char>(1 << (i % 8));
+      }
     }
-    enc->PutBytes(validity.data(), validity.size());
   }
   switch (col.type()) {
     case ValueType::kNull:
       break;
     case ValueType::kInt64:
-      enc->PutBytes(col.int_data().data(), nrows * sizeof(int64_t));
+      PutNumericCells(col, col.int_data(), rows, n, has_nulls, enc);
       break;
     case ValueType::kDouble:
-      enc->PutBytes(col.double_data().data(), nrows * sizeof(double));
+      PutNumericCells(col, col.double_data(), rows, n, has_nulls, enc);
       break;
-    case ValueType::kString:
-      for (size_t r = 0; r < nrows; ++r) {
-        enc->PutU32(static_cast<uint32_t>(col.GetString(r).size()));
+    case ValueType::kString: {
+      char* lengths = enc->Extend(n * sizeof(uint32_t));
+      size_t total = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t r = row(i);
+        const uint32_t len =
+            has_nulls && col.IsNull(r)
+                ? 0
+                : static_cast<uint32_t>(col.GetString(r).size());
+        std::memcpy(lengths + i * sizeof(uint32_t), &len, sizeof(len));
+        total += len;
       }
-      for (size_t r = 0; r < nrows; ++r) {
+      char* bytes = enc->Extend(total);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t r = row(i);
+        if (has_nulls && col.IsNull(r)) continue;
         const std::string& v = col.GetString(r);
-        enc->PutBytes(v.data(), v.size());
+        std::memcpy(bytes, v.data(), v.size());
+        bytes += v.size();
       }
       break;
+    }
     case ValueType::kIntArray:
-      for (size_t r = 0; r < nrows; ++r) {
+      for (size_t i = 0; i < n; ++i) {
+        const size_t r = row(i);
         if (col.IsNull(r)) {
           storage::EncodeRidList({}, enc);
         } else {
@@ -226,6 +273,31 @@ void EncodeColumn(const Column& col, size_t nrows, Encoder* enc) {
         }
       }
       break;
+  }
+}
+
+/// The table codec over rows `rows[0..nrows)` (every row when null) and
+/// columns `cols` (every column when null) of `src`, named `name`.
+void EncodeRows(const minidb::Table& src, const uint32_t* rows, size_t nrows,
+                const std::vector<int>* cols, std::string_view name,
+                Encoder* enc) {
+  const size_t ncols = cols != nullptr ? cols->size() : src.num_columns();
+  auto col_at = [cols](size_t j) -> size_t {
+    return cols != nullptr ? static_cast<size_t>((*cols)[j]) : j;
+  };
+  enc->PutString(name);
+  enc->PutU32(static_cast<uint32_t>(ncols));
+  uint64_t min_bits = 0;
+  for (size_t j = 0; j < ncols; ++j) {
+    const minidb::ColumnDef& def = src.schema().column(col_at(j));
+    enc->PutString(def.name);
+    enc->PutU8(static_cast<uint8_t>(def.type));
+    min_bits += MinBitsPerRow(def.type);
+  }
+  enc->PutU32(static_cast<uint32_t>(nrows));
+  enc->Reserve(min_bits * nrows / 8 + 2 * ncols);
+  for (size_t j = 0; j < ncols; ++j) {
+    EncodeColumn(src.column(col_at(j)), rows, nrows, enc);
   }
 }
 
@@ -300,23 +372,14 @@ Result<Column> DecodeColumn(ValueType type, uint32_t nrows, Decoder* dec) {
 }  // namespace
 
 void EncodeTable(const minidb::Table& table, storage::Encoder* enc) {
-  const minidb::Schema& schema = table.schema();
-  const size_t nrows = table.num_rows();
-  enc->PutString(table.name());
-  enc->PutU32(static_cast<uint32_t>(schema.num_columns()));
-  for (const minidb::ColumnDef& col : schema.columns()) {
-    enc->PutString(col.name);
-    enc->PutU8(static_cast<uint8_t>(col.type));
-  }
-  enc->PutU32(static_cast<uint32_t>(nrows));
-  uint64_t min_bits = 0;
-  for (const minidb::ColumnDef& col : schema.columns()) {
-    min_bits += MinBitsPerRow(col.type);
-  }
-  enc->Reserve(min_bits * nrows / 8 + 2 * schema.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    EncodeColumn(table.column(c), nrows, enc);
-  }
+  EncodeRows(table, nullptr, table.num_rows(), nullptr, table.name(), enc);
+}
+
+void EncodeSelection(const core::RowSelection& sel, std::string_view name,
+                     storage::Encoder* enc) {
+  EncodeRows(*sel.table, sel.rows.data(), sel.rows.size(), &sel.cols, name,
+             enc);
+  ORPHEUS_COUNTER_ADD("net.encode.rows_gathered", sel.rows.size());
 }
 
 Result<minidb::Table> DecodeTable(storage::Decoder* dec) {
@@ -424,13 +487,21 @@ Result<Request> DecodeRequest(std::string_view payload) {
   return req;
 }
 
+namespace {
+
+void EncodeResponseHeader(const Response& resp, Encoder* enc) {
+  enc->PutU64(resp.request_seq);
+  enc->PutU8(resp.code);
+  enc->PutU8(resp.retryable ? 1 : 0);
+  enc->PutString(resp.message);
+  enc->PutU8(static_cast<uint8_t>(resp.op));
+}
+
+}  // namespace
+
 std::string EncodeResponse(const Response& resp) {
   Encoder enc;
-  enc.PutU64(resp.request_seq);
-  enc.PutU8(resp.code);
-  enc.PutU8(resp.retryable ? 1 : 0);
-  enc.PutString(resp.message);
-  enc.PutU8(static_cast<uint8_t>(resp.op));
+  EncodeResponseHeader(resp, &enc);
   if (!resp.ok()) return enc.Take();
   switch (resp.op) {
     case Op::kOpen:
@@ -438,7 +509,12 @@ std::string EncodeResponse(const Response& resp) {
       enc.PutI32(resp.watermark);
       break;
     case Op::kCheckout:
-      EncodeTable(*resp.table, &enc);
+      // An OK checkout reply carries rows only through
+      // EncodeCheckoutResponse; here it is a table without columns, which
+      // a client refuses.
+      enc.PutString("");
+      enc.PutU32(0);
+      enc.PutU32(0);
       break;
     case Op::kCommit:
       EncodeOutcome(resp.outcome, &enc);
@@ -462,6 +538,15 @@ std::string EncodeResponse(const Response& resp) {
       enc.PutI64(resp.lease_ms);
       break;
   }
+  return enc.Take();
+}
+
+std::string EncodeCheckoutResponse(const Response& resp,
+                                   const core::RowSelection& sel,
+                                   std::string_view table_name) {
+  Encoder enc;
+  EncodeResponseHeader(resp, &enc);
+  EncodeSelection(sel, table_name, &enc);
   return enc.Take();
 }
 
@@ -489,7 +574,6 @@ Result<Response> DecodeResponse(std::string_view payload) {
     case Op::kCheckout: {
       ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table, DecodeTable(&dec));
       resp.decoded_table = std::make_unique<minidb::Table>(std::move(table));
-      resp.table = resp.decoded_table.get();
       break;
     }
     case Op::kCommit: {

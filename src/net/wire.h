@@ -127,9 +127,8 @@ struct Response {
   Op op = Op::kOpen;
   uint64_t sid = 0;                          // kOpen
   core::VersionId watermark = 0;             // kOpen / kRefresh
-  // kCheckout: the table, borrowed for encoding and owned when decoded,
-  // exactly as Request::table / Request::decoded_table.
-  const minidb::Table* table = nullptr;
+  // kCheckout: the decoded table. The server encodes its reply straight
+  // from the version's rows (EncodeCheckoutResponse), never from a table.
   std::unique_ptr<minidb::Table> decoded_table;
   session::CommitOutcome outcome;            // kCommit
   std::vector<CvdSummary> cvds;              // kLs
@@ -155,7 +154,15 @@ Result<HelloAck> DecodeHelloAck(std::string_view payload);
 std::string EncodeRequest(const Request& req);
 Result<Request> DecodeRequest(std::string_view payload);
 
+/// Any response but an OK kCheckout one, whose rows only
+/// EncodeCheckoutResponse can supply.
 std::string EncodeResponse(const Response& resp);
+/// An OK kCheckout response whose table is the selection `sel`, named
+/// `table_name`: the bytes of the response carrying
+/// `std::move(sel).Materialize(table_name)`, without that copy.
+std::string EncodeCheckoutResponse(const Response& resp,
+                                   const core::RowSelection& sel,
+                                   std::string_view table_name);
 Result<Response> DecodeResponse(std::string_view payload);
 
 /// Columnar table codec (DESIGN.md §14.1): the schema and row count, then
@@ -163,7 +170,13 @@ Result<Response> DecodeResponse(std::string_view payload);
 /// strings as a length array plus bytes, int arrays as rid-list payloads.
 /// DecodeTable refuses (DataLoss) a row count the remaining bytes cannot
 /// hold, so a short hostile payload cannot claim a huge table.
+/// A NULL cell encodes as a zero slot.
 void EncodeTable(const minidb::Table& table, storage::Encoder* enc);
+/// The codec of `sel` as the table `name`: byte for byte what EncodeTable
+/// writes for `std::move(sel).Materialize(name)`, gathered from the source
+/// table column by column without building that copy.
+void EncodeSelection(const core::RowSelection& sel, std::string_view name,
+                     storage::Encoder* enc);
 Result<minidb::Table> DecodeTable(storage::Decoder* dec);
 
 // ---------------------------------------------------------------------------

@@ -77,6 +77,26 @@ Status Session::Checkout(const std::vector<core::VersionId>& vids,
   return Status::OK();
 }
 
+Status Session::CheckoutSelection(
+    const std::vector<core::VersionId>& vids, const std::string& table_name,
+    const std::function<void(const core::RowSelection&)>& emit) {
+  if (staging_.HasTable(table_name) ||
+      parents_.find(table_name) != parents_.end()) {
+    return Status::InvalidArgument(StrFormat(
+        "staging table \"%s\" already exists in session %d",
+        table_name.c_str(), id_));
+  }
+  KeptCheckout kept;
+  ORPHEUS_RETURN_NOT_OK(manager_->Select(
+      vids, watermark_, [&](const core::RowSelection& sel) {
+        kept = KeptCheckout{sel.schema(), sel.SortedRids()};
+        emit(sel);
+      }));
+  parents_[table_name] = vids;
+  kept_checkouts_[table_name] = std::move(kept);
+  return Status::OK();
+}
+
 Result<CommitOutcome> Session::Commit(const std::string& table_name,
                                       const std::string& message,
                                       const std::string& author) {
@@ -200,23 +220,6 @@ void Session::Forget(const std::string& table_name) {
   kept_checkouts_.erase(table_name);
 }
 
-Status Session::DropStagedRows(const std::string& table_name) {
-  const minidb::Table* table = staging_.GetTable(table_name);
-  if (table == nullptr || parents_.find(table_name) == parents_.end()) {
-    return Status::NotFound(StrFormat(
-        "no checked-out table \"%s\" in session %d", table_name.c_str(),
-        id_));
-  }
-  // Column 0 of a checkout is `_rid`, never NULL.
-  const std::vector<int64_t>& ids = table->column(0).int_data();
-  std::vector<RecordId> rids(ids.begin(), ids.end());
-  if (!std::is_sorted(rids.begin(), rids.end())) {
-    std::sort(rids.begin(), rids.end());
-  }
-  kept_checkouts_[table_name] = KeptCheckout{table->schema(), std::move(rids)};
-  return staging_.DropTable(table_name);
-}
-
 Status Session::DiscardStaging(const std::string& table_name) {
   if (pending_commits_.find(table_name) != pending_commits_.end()) {
     return Status::InvalidArgument(StrFormat(
@@ -300,10 +303,8 @@ core::VersionId SessionManager::TipOf(core::VersionId base) const {
   return tip;
 }
 
-Result<minidb::Table> SessionManager::Materialize(
-    const std::vector<core::VersionId>& vids, const std::string& table_name,
-    core::VersionId watermark) const {
-  ORPHEUS_TRACE_SPAN("session.checkout");
+Status SessionManager::CheckSnapshot(const std::vector<core::VersionId>& vids,
+                                     core::VersionId watermark) {
   for (core::VersionId vid : vids) {
     if (vid > watermark) {
       return Status::InvalidArgument(StrFormat(
@@ -312,8 +313,32 @@ Result<minidb::Table> SessionManager::Materialize(
           vid, watermark));
     }
   }
+  return Status::OK();
+}
+
+Result<minidb::Table> SessionManager::Materialize(
+    const std::vector<core::VersionId>& vids, const std::string& table_name,
+    core::VersionId watermark) const {
+  ORPHEUS_TRACE_SPAN("session.checkout");
+  ORPHEUS_RETURN_NOT_OK(CheckSnapshot(vids, watermark));
   ReaderMutexLock data(&data_mu_);
   return cvd_->Materialize(vids, table_name);
+}
+
+Status SessionManager::Select(
+    const std::vector<core::VersionId>& vids, core::VersionId watermark,
+    const std::function<void(const core::RowSelection&)>& emit) const {
+  ORPHEUS_RETURN_NOT_OK(CheckSnapshot(vids, watermark));
+  // A commit appends to the tables the selection borrows (and may move
+  // their columns), so the lock is held until `emit` is done with it.
+  ReaderMutexLock data(&data_mu_);
+  Result<core::RowSelection> sel = [&] {
+    ORPHEUS_TRACE_SPAN("select");
+    return cvd_->Select(vids);
+  }();
+  ORPHEUS_RETURN_NOT_OK(sel.status());
+  emit(*sel);
+  return Status::OK();
 }
 
 Result<minidb::Table> SessionManager::Diff(core::VersionId a,

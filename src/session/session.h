@@ -113,14 +113,18 @@ class Session {
                             const std::string& author,
                             const Deadline& deadline, CommitOutcome* out);
 
-  /// Keep only the provenance and the sorted rid list of a checked-out
-  /// table, dropping its rows: the server's form of a remote checkout once
-  /// its reply is encoded. The client then commits a changeset against it
-  /// (CommitChangeset).
-  Status DropStagedRows(const std::string& table_name);
+  /// The server's form of Checkout (DESIGN.md §14.1): select the versions'
+  /// rows and hand the selection to `emit` while the CVD's reader lock is
+  /// still held — the selection borrows the shared tables, so it must not
+  /// be used after `emit` returns. Stages no table: the session keeps only
+  /// the provenance, schema and sorted rids of the checkout, against which
+  /// the client commits a changeset (CommitChangeset).
+  Status CheckoutSelection(
+      const std::vector<core::VersionId>& vids, const std::string& table_name,
+      const std::function<void(const core::RowSelection&)>& emit);
 
   /// Commit a remote client's changeset against a checkout kept by
-  /// DropStagedRows. `rows` are the rows the client shipped (changed, new,
+  /// CheckoutSelection. `rows` are the rows the client shipped (changed, new,
   /// or simply not left out); `deleted` are the checkout rids it did not
   /// keep unchanged, sorted and unique. The version holds `rows` plus the
   /// checkout's other records, which are carried without a scan; every
@@ -190,8 +194,7 @@ class Session {
   minidb::Database staging_;
   // Staging table -> parent versions pinned at checkout.
   std::unordered_map<std::string, std::vector<core::VersionId>> parents_;
-  // Staging table -> its checkout's schema and sorted rids, once
-  // DropStagedRows has dropped the rows.
+  // Staging table -> the schema and sorted rids of a CheckoutSelection.
   struct KeptCheckout {
     minidb::Schema schema;
     std::vector<core::RecordId> rids;
@@ -252,6 +255,15 @@ class SessionManager {
   Result<minidb::Table> Materialize(const std::vector<core::VersionId>& vids,
                                     const std::string& table_name,
                                     core::VersionId watermark) const;
+  /// Select the versions' rows and call `emit` on them under the shared
+  /// data lock (Session::CheckoutSelection).
+  Status Select(const std::vector<core::VersionId>& vids,
+                core::VersionId watermark,
+                const std::function<void(const core::RowSelection&)>& emit)
+      const;
+  /// InvalidArgument when a version lies beyond `watermark`.
+  static Status CheckSnapshot(const std::vector<core::VersionId>& vids,
+                              core::VersionId watermark);
   Result<minidb::Table> Diff(core::VersionId a, core::VersionId b,
                              core::VersionId watermark) const;
 

@@ -57,6 +57,13 @@ class Encoder {
   void PutBytes(const void* data, size_t n) {
     buf_.append(static_cast<const char*>(data), n);
   }
+  /// Append `n` zero bytes and return where they start, for the caller to
+  /// fill in place (valid until the next append).
+  char* Extend(size_t n) {
+    const size_t old = buf_.size();
+    buf_.resize(old + n);
+    return buf_.data() + old;
+  }
   /// Grow the buffer's capacity for `n` more bytes.
   void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -181,6 +182,29 @@ TEST(RidSet, IntersectToRowsMatchesScan) {
     }
     std::vector<uint32_t> got;
     set.IntersectToRows(rids.data(), rids.size(), &got, /*base_row=*/7);
+    EXPECT_EQ(got, expect) << "frac=" << frac;
+  }
+}
+
+TEST(RidSet, ValuesAsRowsMatchesIntersectOverDenseRids) {
+  // A rid column holding rid r at row r: the positional kernel must give
+  // IntersectToRows' rows, for sets of every container shape, with values
+  // below 0 and at or beyond n dropped.
+  const int64_t n = 200000;
+  std::vector<int64_t> dense(static_cast<size_t>(n));
+  std::iota(dense.begin(), dense.end(), 0);
+  for (double frac : {0.001, 0.1, 0.9, 1.0}) {
+    std::vector<int64_t> member = {-3, n, n + 70000};
+    Xorshift pick(61);
+    for (int64_t r : dense) {
+      if (pick.NextDouble() < frac) member.push_back(r);
+    }
+    member = SortedUnique(member);
+    RidSet set = RidSet::FromSorted(member);
+    std::vector<uint32_t> expect;
+    set.IntersectToRows(dense.data(), dense.size(), &expect);
+    std::vector<uint32_t> got;
+    set.ValuesAsRows(n, &got);
     EXPECT_EQ(got, expect) << "frac=" << frac;
   }
 }

@@ -140,6 +140,37 @@ TEST(RidSetDifferential, BackendCheckoutMatchesDataset) {
   }
 }
 
+TEST(RidSetDifferential, PositionalSelectMatchesJoin) {
+  // Split-by-rlist selects a version's rows positionally when data-table
+  // row r holds rid r, and joins otherwise: both must give the join's rows.
+  for (RecordId first_rid : {RecordId{0}, RecordId{5}}) {
+    SplitByRlistBackend backend(
+        minidb::Schema({{"a", minidb::ValueType::kInt64}}));
+    std::vector<RecordId> all;
+    std::vector<NewRecord> fresh;
+    for (RecordId rid = first_rid; rid < first_rid + 3000; ++rid) {
+      all.push_back(rid);
+      fresh.push_back({rid, {minidb::Value(rid * 3)}});
+    }
+    ASSERT_TRUE(backend.AddVersion(0, all, fresh, {}).ok());
+    std::vector<RecordId> some;
+    for (RecordId rid : all) {
+      if (rid % 3 != 0) some.push_back(rid);
+    }
+    ASSERT_TRUE(backend.AddVersion(1, some, {}, {0}).ok());
+    ASSERT_TRUE(backend.AddVersion(2, {all[1], all[4]}, {}, {1}).ok());
+    for (int v = 0; v < 3; ++v) {
+      auto sel = backend.Select(v);
+      ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+      const auto rids = backend.VersionRecords(v).MoveValueOrDie();
+      EXPECT_EQ(sel->rows,
+                minidb::JoinRids(backend.data_table(), 0, rids,
+                                 minidb::JoinAlgorithm::kHashJoin, true))
+          << "first rid " << first_rid << ", v" << v;
+    }
+  }
+}
+
 TEST(RidSetDifferential, PartitionedStoreCheckoutMatchesDataset) {
   Fixture f;
   Partitioning plan =

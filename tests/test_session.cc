@@ -9,7 +9,9 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -1214,9 +1216,9 @@ TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
       const uint64_t copied_before = copied.value();
       const uint64_t materialized_before = materialized.value();
       Table t = client->Checkout(sid, {latest}, "t").MoveValueOrDie();
-      // Keeping the base copies nothing beyond the materialization.
-      EXPECT_EQ(copied.value() - copied_before,
-                materialized.value() - materialized_before);
+      // The reply is gathered from the shared table and the client keeps
+      // its bytes as the base: no row is copied on either side.
+      EXPECT_EQ(copied.value() - copied_before, 0u);
       EXPECT_EQ(materialized.value() - materialized_before,
                 static_cast<uint64_t>(n));
       SetName(&t, 7, name);
@@ -1248,6 +1250,116 @@ TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
   EXPECT_EQ(small.probes, large.probes);
   EXPECT_EQ(small.indexed, large.indexed);
   EXPECT_EQ(small.shipped, large.shipped);
+}
+
+TEST_F(SessionTest, RemoteCheckoutWorkFollowsTheVersionNotTheTable) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter& wire = metrics.counter("net.bytes_recv");
+  Counter& gathered = metrics.counter("net.encode.rows_gathered");
+  Counter& scanned = metrics.counter("ridset.intersect_rows.scanned");
+  Counter& copied = metrics.counter("minidb.rows_copied");
+  constexpr int64_t kRecords = 100;  // |R_k|
+  struct Work {
+    uint64_t bytes = 0, gathered = 0, scanned = 0, copied = 0;
+  };
+  auto checkout_work = [&](int64_t n) {
+    std::vector<std::pair<int64_t, std::string>> rows;
+    for (int64_t id = 1; id <= n; ++id) rows.emplace_back(id, "r");
+    auto cvd = MakeCvd(rows, PkOptions());
+    // v2 keeps the first kRecords records of v1, so |R_k| is the same
+    // whatever |R| = n is.
+    Table keep = cvd->Materialize({1}, "keep").MoveValueOrDie();
+    std::vector<uint32_t> drop(static_cast<size_t>(n - kRecords));
+    std::iota(drop.begin(), drop.end(), static_cast<uint32_t>(kRecords));
+    keep.DeleteRows(drop);
+    ORPHEUS_CHECK_OK(cvd->CommitTable(keep, {1}, "keep").status());
+    std::vector<std::unique_ptr<core::Cvd>> cvds;
+    cvds.push_back(std::move(cvd));
+    net::ServerOptions options;
+    options.listen = "unix:" + MakeTempDir() + "/sock";
+    auto server = net::SessionServer::Start(nullptr, std::move(cvds), options)
+                      .MoveValueOrDie();
+    auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+    const uint64_t sid = client->Open("t").MoveValueOrDie().sid;
+    const Work before{wire.value(), gathered.value(), scanned.value(),
+                      copied.value()};
+    Table t = client->Checkout(sid, {2}, "t").MoveValueOrDie();
+    const Work work{wire.value() - before.bytes,
+                    gathered.value() - before.gathered,
+                    scanned.value() - before.scanned,
+                    copied.value() - before.copied};
+    EXPECT_EQ(t.num_rows(), static_cast<uint64_t>(kRecords));
+    server->Stop();
+    return work;
+  };
+  const Work small = checkout_work(1000);
+  const Work large = checkout_work(10000);
+  EXPECT_EQ(small.gathered, static_cast<uint64_t>(kRecords));
+  EXPECT_EQ(small.scanned, 0u);
+  EXPECT_EQ(small.copied, 0u);
+  EXPECT_GT(small.bytes, 0u);
+  EXPECT_EQ(small.bytes, large.bytes);
+  EXPECT_EQ(small.gathered, large.gathered);
+  EXPECT_EQ(small.scanned, large.scanned);
+  EXPECT_EQ(small.copied, large.copied);
+}
+
+TEST_F(SessionTest, RemoteCheckoutGathersWhileCommitsAppend) {
+  // A writer's commits append enough records to the shared data table to
+  // move its columns while remote checkouts of v1 are encoded from it. A
+  // column move lands in the encode's window only now and then, so the
+  // race gets several rounds on fresh servers.
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::pair<int64_t, std::string>> rows;
+    for (int64_t id = 1; id <= 64; ++id) rows.emplace_back(id, "seed");
+    std::vector<std::unique_ptr<core::Cvd>> cvds;
+    cvds.push_back(MakeCvd(rows, PkOptions()));
+    net::ServerOptions options;
+    options.listen = "unix:" + MakeTempDir() + "/sock";
+    auto server =
+        net::SessionServer::Start(nullptr, std::move(cvds), options)
+            .MoveValueOrDie();
+    SessionManager* manager = server->manager("t");
+    std::string expected;
+    {
+      auto local = manager->Open();
+      ORPHEUS_CHECK_OK(local->Checkout({1}, "v1"));
+      expected = minidb::ToCsv(*local->table("v1"));
+    }
+    std::atomic<bool> reading{false};
+    std::atomic<bool> done{false};
+    DedicatedThread writer("writer", [&] {
+      auto session = manager->Open();
+      while (!reading.load()) std::this_thread::yield();
+      int64_t next_id = 1000;
+      for (int i = 0; i < 12; ++i) {
+        ORPHEUS_CHECK_OK(session->Refresh());
+        ORPHEUS_CHECK_OK(session->Checkout({session->watermark()}, "w"));
+        for (int k = 0; k < 300; ++k) {
+          AddRow(session->table("w"), next_id++, "x");
+        }
+        ORPHEUS_CHECK_OK(session->Commit("w", "grow").status());
+      }
+      done.store(true);
+    });
+    auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+    const uint64_t sid = client->Open("t").MoveValueOrDie().sid;
+    int checkouts = 0;
+    while (!done.load()) {
+      Table t = client->Checkout(sid, {1}, "v1").MoveValueOrDie();
+      reading.store(true);
+      if (minidb::ToCsv(t) != expected) {
+        ADD_FAILURE() << "round " << round << ", checkout " << checkouts
+                      << " differs from v1";
+        break;
+      }
+      ++checkouts;
+    }
+    writer.Join();
+    EXPECT_EQ(manager->watermark(), 13);
+    server->Stop();
+  }
 }
 
 // ---------------------------------------------------------------------------

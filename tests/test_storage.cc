@@ -182,16 +182,24 @@ uint32_t ReferenceCrc32c(uint32_t crc, const char* data, size_t n) {
 }
 
 /// Checks `kernel` against the reference on random buffers of every length
-/// 0..64 and random lengths up to 4096, each at all 8 start misalignments,
-/// from a zero and from a non-zero running CRC.
+/// 0..3*kShortBlock+17 (through the hardware kernel's short three-stream
+/// loop and its tail), of every length within 17 bytes of one and two long
+/// three-stream strides and of a long stride plus a short one, and of random
+/// lengths up to 4096; each at all 8 start misalignments, from a zero and
+/// from a non-zero running CRC.
 void CheckKernel(uint32_t (*kernel)(uint32_t, const char*, size_t)) {
+  using crc32c_internal::kLongBlock;
+  using crc32c_internal::kShortBlock;
   Xorshift rng(7);
-  std::vector<char> buf(4096 + 8);
+  std::vector<char> buf(6 * kLongBlock + 3 * kShortBlock + 64);
   for (char& c : buf) c = static_cast<char>(rng.Next());
   std::vector<size_t> lengths;
-  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (size_t n = 0; n <= 3 * kShortBlock + 17; ++n) lengths.push_back(n);
+  for (size_t stride : {3 * kLongBlock, 6 * kLongBlock,
+                        3 * kLongBlock + 3 * kShortBlock}) {
+    for (size_t n = stride - 17; n <= stride + 17; ++n) lengths.push_back(n);
+  }
   for (int i = 0; i < 64; ++i) lengths.push_back(rng.Uniform(4097));
-  lengths.push_back(4096);
   for (size_t n : lengths) {
     for (size_t misalign = 0; misalign < 8; ++misalign) {
       const char* p = buf.data() + misalign;
