@@ -186,14 +186,6 @@ int64_t VersionedDataset::CommonRecords(int a, int b) const {
   return common;
 }
 
-std::vector<int> VersionedDataset::RootVersions() const {
-  std::vector<int> roots;
-  for (int i = 0; i < num_versions(); ++i) {
-    if (versions_[i].parents.empty()) roots.push_back(i);
-  }
-  return roots;
-}
-
 GeneratorConfig SciConfig(const std::string& name, int num_versions,
                           int num_branches, int ops_per_version,
                           uint64_t seed) {

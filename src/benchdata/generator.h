@@ -75,9 +75,6 @@ class VersionedDataset {
   /// version graph). Linear merge over the sorted membership vectors.
   int64_t CommonRecords(int a, int b) const;
 
-  /// Indices of versions with no parents (normally just {0}).
-  std::vector<int> RootVersions() const;
-
  private:
   GeneratorConfig config_;
   std::vector<VersionSpec> versions_;

@@ -92,6 +92,29 @@ std::string RenderTable(const Table& t, size_t max_rows = 20) {
   return os.str();
 }
 
+/// One commit's verdict, as either session backend reports it.
+std::string RenderCommit(unsigned long long sid, const std::string& table,
+                         const session::CommitOutcome& outcome) {
+  std::string out = StrFormat("session %llu committed table %s as version %d",
+                              sid, table.c_str(), outcome.vid);
+  if (outcome.reconciled) {
+    out += StrFormat("\nreconciled with concurrent version %d into merge "
+                     "version %d",
+                     outcome.reconciled_with, outcome.merged_vid);
+  } else if (!outcome.conflicts.empty()) {
+    out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
+                     "conflict(s); v%d left as a divergent branch",
+                     outcome.reconciled_with, outcome.conflicts.size(),
+                     outcome.vid);
+    for (const session::MergeConflict& c : outcome.conflicts) {
+      out += StrFormat("\n  key=%s attribute=%s base=%s ours=%s theirs=%s",
+                       c.key.c_str(), c.attribute.c_str(), c.base.c_str(),
+                       c.ours.c_str(), c.theirs.c_str());
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<CommandProcessor::Args> CommandProcessor::ParseArgs(
@@ -119,37 +142,13 @@ Result<CommandProcessor::Args> CommandProcessor::ParseArgs(
 Result<Cvd*> CommandProcessor::FindCvd(const std::string& name) {
   auto it = cvds_.find(name);
   if (it == cvds_.end()) {
-    if (managers_.count(name) != 0) {
+    if (local_sessions_.managers().count(name) != 0) {
       return Status::InvalidArgument(StrFormat(
           "CVD %s is open for concurrent use; drive it with the session "
-          "commands or run `session close %s` first",
-          name.c_str(), name.c_str()));
+          "commands or `session close` its sessions first",
+          name.c_str()));
     }
     return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
-  }
-  return it->second.get();
-}
-
-Result<session::SessionManager*> CommandProcessor::FindManager(
-    const std::string& cvd) {
-  auto it = managers_.find(cvd);
-  if (it == managers_.end()) {
-    return Status::NotFound(StrFormat(
-        "CVD %s is not session-managed (run `session open %s` first)",
-        cvd.c_str(), cvd.c_str()));
-  }
-  return it->second.get();
-}
-
-Result<session::Session*> CommandProcessor::FindSession(const std::string& cvd,
-                                                        int sid) {
-  ORPHEUS_RETURN_NOT_OK(FindManager(cvd).status());
-  auto& open = sessions_[cvd];
-  auto it = open.find(sid);
-  if (it == open.end()) {
-    return Status::NotFound(StrFormat(
-        "no open session %d on CVD %s (run `session new %s`)", sid,
-        cvd.c_str(), cvd.c_str()));
   }
   return it->second.get();
 }
@@ -164,6 +163,24 @@ Result<Cvd*> CommandProcessor::CvdOfStagingTable(const std::string& table) {
   return Status::NotFound(
       StrFormat("table %s was not checked out from any CVD", table.c_str()));
 }
+
+CommandProcessor::CommandProcessor()
+    : local_sessions_(
+          [this](const std::string& name) -> Result<LocalLoan> {
+            ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, FindCvd(name));
+            if (!cvd->StagedTables().empty()) {
+              return Status::InvalidArgument(StrFormat(
+                  "CVD %s has staged checkouts; commit them before "
+                  "`session open`",
+                  name.c_str()));
+            }
+            return LocalLoan{std::move(cvds_.extract(name).mapped()),
+                             repo_.get()};
+          },
+          [this](std::unique_ptr<Cvd> cvd) {
+            WireCommitObserver(cvd.get());
+            cvds_[cvd->name()] = std::move(cvd);
+          }) {}
 
 Result<std::string> CommandProcessor::Execute(const std::string& line) {
   // `profile` wraps the rest of the line, which must reach the inner
@@ -213,7 +230,6 @@ Result<std::string> CommandProcessor::Execute(const std::string& line) {
   if (cmd == "optimize") return Optimize(args);
   if (cmd == "fsck") return Fsck(args);
   if (cmd == "session") return SessionCmd(args);
-  if (cmd == "remote") return RemoteCmd(args);
   if (cmd == "stats") return Stats(args);
   if (cmd == "trace") return Trace(args);
   if (cmd == "tables") {
@@ -405,21 +421,18 @@ Result<std::string> CommandProcessor::Diff(const Args& args) {
 
 Result<std::string> CommandProcessor::Ls() const {
   std::string out;
-  for (const auto& [name, cvd] : cvds_) {
-    out += StrFormat("%s  (%d versions, %llu bytes)\n", name.c_str(),
-                     cvd->num_versions(),
-                     static_cast<unsigned long long>(cvd->StorageBytes()));
-  }
-  for (const auto& [name, manager] : managers_) {
-    int versions = 0;
-    unsigned long long bytes = 0;
-    ORPHEUS_IGNORE_ERROR(manager->ReadCvd([&](const core::Cvd& cvd) {
-      versions = cvd.num_versions();
-      bytes = cvd.StorageBytes();
+  auto list = [&out](const Cvd& cvd, const char* note) {
+    out += StrFormat("%s  (%d versions, %llu bytes%s)\n", cvd.name().c_str(),
+                     cvd.num_versions(),
+                     static_cast<unsigned long long>(cvd.StorageBytes()),
+                     note);
+  };
+  for (const auto& [name, cvd] : cvds_) list(*cvd, "");
+  for (const auto& [name, manager] : local_sessions_.managers()) {
+    ORPHEUS_IGNORE_ERROR(manager->ReadCvd([&](const Cvd& cvd) {
+      list(cvd, ", session-managed");
       return Status::OK();
     }));
-    out += StrFormat("%s  (%d versions, %llu bytes, session-managed)\n",
-                     name.c_str(), versions, bytes);
   }
   return out.empty() ? "no CVDs\n" : out;
 }
@@ -429,14 +442,7 @@ Result<std::string> CommandProcessor::Drop(const Args& args) {
     return Status::InvalidArgument("usage: drop <cvd>");
   }
   const std::string& name = args.positional[0];
-  if (cvds_.count(name) == 0) {
-    if (managers_.count(name) != 0) {
-      return Status::InvalidArgument(StrFormat(
-          "CVD %s is open for concurrent use; run `session close %s` first",
-          name.c_str(), name.c_str()));
-    }
-    return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
-  }
+  ORPHEUS_RETURN_NOT_OK(FindCvd(name).status());
   // Log before applying: if the drop record cannot be made durable, the
   // CVD stays (memory and disk agree either way).
   if (repo_ != nullptr) ORPHEUS_RETURN_NOT_OK(repo_->LogDrop(name));
@@ -545,8 +551,9 @@ Result<std::string> CommandProcessor::Fsck(const Args& args) {
   }
   ValidationReport report;
   int checked = 0;
+  const auto& managers = local_sessions_.managers();
   auto check_managed = [&](const std::string& name) {
-    ORPHEUS_IGNORE_ERROR(managers_.at(name)->ReadCvd(
+    ORPHEUS_IGNORE_ERROR(managers.at(name)->ReadCvd(
         [&report](const core::Cvd& cvd) {
           core::ValidateCvd(cvd, &report);
           return Status::OK();
@@ -555,7 +562,7 @@ Result<std::string> CommandProcessor::Fsck(const Args& args) {
   };
   if (!args.positional.empty()) {
     const std::string& name = args.positional[0];
-    if (managers_.count(name) != 0) {
+    if (managers.count(name) != 0) {
       check_managed(name);
     } else {
       auto cvd = FindCvd(name);
@@ -569,7 +576,7 @@ Result<std::string> CommandProcessor::Fsck(const Args& args) {
       core::ValidateCvd(*cvd, &report);
       ++checked;
     }
-    for (const auto& [name, manager] : managers_) {
+    for (const auto& [name, manager] : managers) {
       (void)manager;
       check_managed(name);
     }
@@ -601,221 +608,69 @@ Result<std::string> CommandProcessor::Fsck(const Args& args) {
 Result<std::string> CommandProcessor::SessionCmd(const Args& args) {
   if (args.positional.empty()) {
     return Status::InvalidArgument(
-        "usage: session open|new|checkout|commit|refresh|ls|close ...");
+        "usage: session connect|disconnect|open|checkout|commit|refresh|"
+        "heartbeat|ls|close ...");
   }
   const std::string sub = ToLower(args.positional[0]);
+  session::SessionApi* api = &local_sessions_;
+  if (remote_ != nullptr) api = remote_.get();
 
+  if (sub == "disconnect") {
+    if (remote_ == nullptr) return Status::InvalidArgument("not connected");
+    remote_.reset();
+    return std::string("disconnected; sessions are in-process again");
+  }
   if (sub == "ls") {
-    if (managers_.empty()) return std::string("no session-managed CVDs\n");
+    ORPHEUS_ASSIGN_OR_RETURN(std::vector<session::CvdSummary> cvds,
+                             api->Ls());
+    if (cvds.empty()) {
+      return std::string(remote_ != nullptr ? "server has no CVDs\n"
+                                            : "no CVD has open sessions\n");
+    }
     std::string out;
-    for (const auto& [name, manager] : managers_) {
-      out += StrFormat("%s  (watermark v%d, %zu open session(s)%s)\n",
-                       name.c_str(), manager->watermark(),
-                       sessions_[name].size(),
-                       manager->failed() ? ", POISONED" : "");
+    for (const session::CvdSummary& c : cvds) {
+      out += StrFormat("%s  (%d version(s), watermark v%d, %d open "
+                       "session(s)%s)\n",
+                       c.name.c_str(), c.num_versions, c.watermark,
+                       c.open_sessions, c.failed ? ", COMMITS REFUSED" : "");
     }
     return out;
   }
   if (args.positional.size() < 2) {
-    return Status::InvalidArgument(
-        StrFormat("usage: session %s <cvd> ...", sub.c_str()));
+    return Status::InvalidArgument(StrFormat(
+        "usage: session %s <%s> ...", sub.c_str(),
+        sub == "connect" ? "address" : sub == "open" ? "cvd" : "sid"));
   }
-  const std::string& name = args.positional[1];
-
-  if (sub == "open") {
-    if (managers_.count(name) != 0) {
-      return Status::AlreadyExists(
-          StrFormat("CVD %s is already session-managed", name.c_str()));
-    }
-    auto it = cvds_.find(name);
-    if (it == cvds_.end()) {
-      return Status::NotFound(StrFormat("no CVD named %s", name.c_str()));
-    }
-    if (!it->second->StagedTables().empty()) {
-      return Status::InvalidArgument(StrFormat(
-          "CVD %s has staged checkouts; commit or drop them before "
-          "`session open`",
-          name.c_str()));
-    }
-    auto manager = std::make_unique<session::SessionManager>(
-        std::move(it->second), repo_.get());
-    cvds_.erase(it);
-    core::VersionId watermark = manager->watermark();
-    managers_[name] = std::move(manager);
-    return StrFormat(
-        "CVD %s is now session-managed (watermark v%d); use `session new "
-        "%s` to open sessions",
-        name.c_str(), watermark, name.c_str());
-  }
-  if (sub == "close") {
-    auto manager = FindManager(name);
-    if (!manager.ok()) return manager.status();
-    size_t released = sessions_[name].size();
-    sessions_.erase(name);  // sessions first: they point into the manager
-    auto cvd = (*manager)->Release();
-    managers_.erase(name);
-    WireCommitObserver(cvd.get());
-    cvds_[name] = std::move(cvd);
-    return StrFormat("CVD %s released from session management "
-                     "(%zu session(s) closed)",
-                     name.c_str(), released);
-  }
-  if (sub == "new") {
-    auto manager = FindManager(name);
-    if (!manager.ok()) return manager.status();
-    auto session = (*manager)->Open();
-    int sid = session->id();
-    core::VersionId watermark = session->watermark();
-    sessions_[name][sid] = std::move(session);
-    return StrFormat("opened session %d on CVD %s (snapshot watermark v%d)",
-                     sid, name.c_str(), watermark);
-  }
-
-  // The remaining subcommands address one session: session <sub> <cvd> <sid>.
-  if (args.positional.size() < 3) {
-    return Status::InvalidArgument(
-        StrFormat("usage: session %s <cvd> <sid> ...", sub.c_str()));
-  }
-  char* end = nullptr;
-  const std::string& sid_spec = args.positional[2];
-  long sid = std::strtol(sid_spec.c_str(), &end, 10);
-  if (end != sid_spec.c_str() + sid_spec.size() || sid <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("bad session id '%s'", sid_spec.c_str()));
-  }
-  auto session = FindSession(name, static_cast<int>(sid));
-  if (!session.ok()) return session.status();
-
-  if (sub == "checkout") {
-    const std::string* vspec = args.Flag("v");
-    const std::string* table = args.Flag("t");
-    if (vspec == nullptr || table == nullptr) {
-      return Status::InvalidArgument(
-          "usage: session checkout <cvd> <sid> -v <vids> -t <table>");
-    }
-    auto vids = ParseVersionList(*vspec);
-    if (!vids.ok()) return vids.status();
-    ORPHEUS_RETURN_NOT_OK((*session)->Checkout(*vids, *table));
-    return StrFormat("session %ld checked out version(s) %s into table %s",
-                     sid, vspec->c_str(), table->c_str());
-  }
-  if (sub == "commit") {
-    const std::string* table = args.Flag("t");
-    if (table == nullptr) {
-      return Status::InvalidArgument(
-          "usage: session commit <cvd> <sid> -t <table> -m \"<msg>\"");
-    }
-    const std::string* msg = args.Flag("m");
-    auto outcome = (*session)->Commit(*table, msg ? *msg : "",
-                                      access_.current_user());
-    if (!outcome.ok()) return outcome.status();
-    std::string out = StrFormat("session %ld committed table %s as version "
-                                "%d of CVD %s",
-                                sid, table->c_str(), outcome->vid,
-                                name.c_str());
-    if (outcome->reconciled) {
-      out += StrFormat("\nreconciled with concurrent version %d into merge "
-                       "version %d",
-                       outcome->reconciled_with, outcome->merged_vid);
-    } else if (!outcome->conflicts.empty()) {
-      out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
-                       "conflict(s); v%d left as a divergent branch",
-                       outcome->reconciled_with, outcome->conflicts.size(),
-                       outcome->vid);
-      for (const session::MergeConflict& c : outcome->conflicts) {
-        out += StrFormat("\n  key=%s attribute=%s base=%s ours=%s theirs=%s",
-                         c.key.c_str(), c.attribute.c_str(), c.base.c_str(),
-                         c.ours.c_str(), c.theirs.c_str());
-      }
-    }
-    return out;
-  }
-  if (sub == "refresh") {
-    ORPHEUS_RETURN_NOT_OK((*session)->Refresh());
-    return StrFormat("session %ld now at watermark v%d", sid,
-                     (*session)->watermark());
-  }
-  return Status::InvalidArgument(StrFormat(
-      "unknown session subcommand '%s' (want "
-      "open|new|checkout|commit|refresh|ls|close)",
-      sub.c_str()));
-}
-
-Result<std::string> CommandProcessor::RemoteCmd(const Args& args) {
-  if (args.positional.empty()) {
-    return Status::InvalidArgument(
-        "usage: remote connect|open|checkout|commit|refresh|heartbeat|ls|"
-        "close|disconnect ...");
-  }
-  const std::string sub = ToLower(args.positional[0]);
-
+  const std::string& target = args.positional[1];
   if (sub == "connect") {
-    if (args.positional.size() < 2) {
-      return Status::InvalidArgument(
-          "usage: remote connect <unix:<path> | tcp:[host:]<port>>");
-    }
-    ORPHEUS_ASSIGN_OR_RETURN(remote_,
-                             net::Client::Connect(args.positional[1]));
-    return StrFormat("connected to %s as %s%s", args.positional[1].c_str(),
+    ORPHEUS_ASSIGN_OR_RETURN(remote_, net::Client::Connect(target));
+    return StrFormat("connected to %s as %s%s", target.c_str(),
                      remote_->client_uuid().c_str(),
                      remote_->server_degraded()
                          ? " (server DEGRADED: read-only)"
                          : "");
   }
-  if (remote_ == nullptr) {
-    return Status::InvalidArgument(
-        "not connected; run `remote connect <address>` first");
-  }
-  if (sub == "disconnect") {
-    remote_.reset();
-    return std::string("disconnected");
-  }
-  if (sub == "ls") {
-    ORPHEUS_ASSIGN_OR_RETURN(std::vector<net::CvdSummary> cvds,
-                             remote_->Ls());
-    if (cvds.empty()) return std::string("server has no CVDs\n");
-    std::string out;
-    for (const net::CvdSummary& c : cvds) {
-      out += StrFormat("%s  (%d version(s), watermark v%d, %d open "
-                       "session(s)%s)\n",
-                       c.name.c_str(), c.num_versions, c.watermark,
-                       c.open_sessions,
-                       c.failed ? ", COMMITS REFUSED" : "");
-    }
-    return out;
-  }
   if (sub == "open") {
-    if (args.positional.size() < 2) {
-      return Status::InvalidArgument("usage: remote open <cvd>");
-    }
-    ORPHEUS_ASSIGN_OR_RETURN(net::Client::OpenResult opened,
-                             remote_->Open(args.positional[1]));
-    return StrFormat(
-        "opened remote session %llu on CVD %s (snapshot watermark v%d)",
-        static_cast<unsigned long long>(opened.sid),
-        args.positional[1].c_str(), opened.watermark);
+    ORPHEUS_ASSIGN_OR_RETURN(session::SessionApi::OpenResult opened,
+                             api->Open(target));
+    return StrFormat("opened session %llu on CVD %s (snapshot watermark v%d)",
+                     static_cast<unsigned long long>(opened.sid),
+                     target.c_str(), opened.watermark);
   }
 
-  // The remaining subcommands address one remote session by sid.
-  if (args.positional.size() < 2) {
-    return Status::InvalidArgument(
-        StrFormat("usage: remote %s <sid> ...", sub.c_str()));
-  }
+  // The remaining subcommands address one session by sid.
   char* end = nullptr;
-  const std::string& sid_spec = args.positional[1];
-  const unsigned long long sid =
-      std::strtoull(sid_spec.c_str(), &end, 10);
-  if (end != sid_spec.c_str() + sid_spec.size() || sid == 0) {
+  const unsigned long long sid = std::strtoull(target.c_str(), &end, 10);
+  if (end != target.c_str() + target.size() || sid == 0) {
     return Status::InvalidArgument(
-        StrFormat("bad remote session id '%s'", sid_spec.c_str()));
+        StrFormat("bad session id '%s'", target.c_str()));
   }
-
   if (sub == "checkout") {
     const std::string* vspec = args.Flag("v");
     const std::string* table = args.Flag("t");
     if (vspec == nullptr || table == nullptr) {
       return Status::InvalidArgument(
-          "usage: remote checkout <sid> -v <vids> -t <table>");
+          "usage: session checkout <sid> -v <vids> -t <table>");
     }
     auto vids = ParseVersionList(*vspec);
     if (!vids.ok()) return vids.status();
@@ -823,65 +678,53 @@ Result<std::string> CommandProcessor::RemoteCmd(const Args& args) {
       return Status::AlreadyExists(
           StrFormat("staging table %s already exists", table->c_str()));
     }
-    ORPHEUS_ASSIGN_OR_RETURN(minidb::Table fetched,
-                             remote_->Checkout(sid, *vids, *table));
+    ORPHEUS_ASSIGN_OR_RETURN(Table fetched,
+                             api->Checkout(sid, *vids, *table));
     const size_t rows = fetched.num_rows();
-    ORPHEUS_RETURN_NOT_OK(
-        staging_.AdoptTable(std::move(fetched)).status());
-    return StrFormat(
-        "remote session %llu checked out version(s) %s into table %s "
-        "(%zu record(s))",
-        sid, vspec->c_str(), table->c_str(), rows);
+    ORPHEUS_RETURN_NOT_OK(staging_.AdoptTable(std::move(fetched)).status());
+    return StrFormat("session %llu checked out version(s) %s into table %s "
+                     "(%zu record(s))",
+                     sid, vspec->c_str(), table->c_str(), rows);
   }
   if (sub == "commit") {
     const std::string* table = args.Flag("t");
     if (table == nullptr) {
       return Status::InvalidArgument(
-          "usage: remote commit <sid> -t <table> -m \"<msg>\"");
+          "usage: session commit <sid> -t <table> -m \"<msg>\"");
     }
-    const minidb::Table* staged = staging_.GetTable(*table);
+    const Table* staged = staging_.GetTable(*table);
     if (staged == nullptr) {
       return Status::NotFound(
           StrFormat("no staging table named %s", table->c_str()));
     }
     const std::string* msg = args.Flag("m");
-    auto outcome = remote_->Commit(sid, *staged, msg ? *msg : "",
-                                   access_.current_user());
-    if (!outcome.ok()) return outcome.status();
+    ORPHEUS_ASSIGN_OR_RETURN(
+        session::CommitOutcome outcome,
+        api->Commit(sid, *staged, msg ? *msg : "", access_.current_user()));
     ORPHEUS_RETURN_NOT_OK(staging_.DropTable(*table));
-    std::string out = StrFormat(
-        "remote session %llu committed table %s as version %d", sid,
-        table->c_str(), outcome->vid);
-    if (outcome->reconciled) {
-      out += StrFormat("\nreconciled with concurrent version %d into merge "
-                       "version %d",
-                       outcome->reconciled_with, outcome->merged_vid);
-    } else if (!outcome->conflicts.empty()) {
-      out += StrFormat("\nCONFLICT with concurrent version %d: %zu attribute "
-                       "conflict(s); v%d left as a divergent branch",
-                       outcome->reconciled_with, outcome->conflicts.size(),
-                       outcome->vid);
-    }
-    return out;
+    return RenderCommit(sid, *table, outcome);
   }
   if (sub == "refresh") {
-    ORPHEUS_ASSIGN_OR_RETURN(core::VersionId watermark,
-                             remote_->Refresh(sid));
-    return StrFormat("remote session %llu now at watermark v%d", sid,
-                     watermark);
+    ORPHEUS_ASSIGN_OR_RETURN(VersionId watermark, api->Refresh(sid));
+    return StrFormat("session %llu now at watermark v%d", sid, watermark);
   }
   if (sub == "heartbeat") {
+    if (remote_ == nullptr) {
+      return Status::InvalidArgument(
+          "only a connected session holds a lease to renew (run `session "
+          "connect <address>` first)");
+    }
     ORPHEUS_ASSIGN_OR_RETURN(int64_t lease, remote_->Heartbeat(sid));
-    return StrFormat("remote session %llu lease renewed (%lld ms)", sid,
+    return StrFormat("session %llu lease renewed (%lld ms)", sid,
                      static_cast<long long>(lease));
   }
   if (sub == "close") {
-    ORPHEUS_RETURN_NOT_OK(remote_->CloseSession(sid));
-    return StrFormat("remote session %llu closed", sid);
+    ORPHEUS_RETURN_NOT_OK(api->CloseSession(sid));
+    return StrFormat("session %llu closed", sid);
   }
   return Status::InvalidArgument(StrFormat(
-      "unknown remote subcommand '%s' (want "
-      "connect|open|checkout|commit|refresh|heartbeat|ls|close|disconnect)",
+      "unknown session subcommand '%s' (want "
+      "connect|disconnect|open|checkout|commit|refresh|heartbeat|ls|close)",
       sub.c_str()));
 }
 
@@ -990,6 +833,13 @@ Result<std::string> CommandProcessor::Profile(const std::string& command) {
   return out;
 }
 
+Status CommandProcessor::RequireNoLocalSessions(const char* action) const {
+  if (local_sessions_.managers().empty()) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "CVDs have open in-process sessions; `session close` them before %s",
+      action));
+}
+
 void CommandProcessor::WireCommitObserver(Cvd* cvd) {
   const std::string name = cvd->name();
   cvd->set_commit_observer([this, name](const core::CvdCommitRecord& record) {
@@ -1017,11 +867,7 @@ Result<std::string> CommandProcessor::OpenRepository(const Args& args) {
         "a repository is already open at %s (close it first)",
         repo_->dir().c_str()));
   }
-  if (!managers_.empty()) {
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "opening a repository");
-  }
+  ORPHEUS_RETURN_NOT_OK(RequireNoLocalSessions("opening a repository"));
   auto repo = storage::Repository::Open(args.positional[0]);
   if (!repo.ok()) return repo.status();
   auto recovered = (*repo)->TakeCvds();
@@ -1066,14 +912,10 @@ Result<std::string> CommandProcessor::CheckpointRepository() {
   if (repo_ == nullptr) {
     return Status::InvalidArgument("no repository open (use: open <dir>)");
   }
-  if (!managers_.empty()) {
-    // A checkpoint folds the passed-in CVDs into the new snapshot;
-    // session-managed ones live inside their managers, so checkpointing
-    // without them would silently drop their history.
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "checkpointing");
-  }
+  // A checkpoint folds the passed-in CVDs into the new snapshot; CVDs
+  // with open sessions live inside their managers, so checkpointing
+  // without them would silently drop their history.
+  ORPHEUS_RETURN_NOT_OK(RequireNoLocalSessions("checkpointing"));
   ORPHEUS_RETURN_NOT_OK(repo_->Checkpoint(CvdPointers()));
   return StrFormat("checkpoint %llu written to %s",
                    static_cast<unsigned long long>(repo_->stats().seq),
@@ -1084,11 +926,7 @@ Result<std::string> CommandProcessor::CloseRepository() {
   if (repo_ == nullptr) {
     return Status::InvalidArgument("no repository open (use: open <dir>)");
   }
-  if (!managers_.empty()) {
-    return Status::InvalidArgument(
-        "session-managed CVDs exist; run `session close` on each before "
-        "closing the repository");
-  }
+  ORPHEUS_RETURN_NOT_OK(RequireNoLocalSessions("closing the repository"));
   ORPHEUS_RETURN_NOT_OK(repo_->Close(CvdPointers()));
   std::string dir = repo_->dir();
   size_t released = cvds_.size();

@@ -11,7 +11,7 @@
 #include "core/cvd.h"
 #include "minidb/database.h"
 #include "net/client.h"
-#include "session/session.h"
+#include "session/session_api.h"
 #include "storage/repository.h"
 
 namespace orpheus::cli {
@@ -64,37 +64,32 @@ namespace orpheus::cli {
 ///                                   trace and render its per-stage tree
 ///                                   (count, total, self, p95)
 ///
-/// Multi-session commands (DESIGN.md §13) — `session open` hands a CVD to a
-/// SessionManager; plain checkout/commit on it are refused until
-/// `session close` hands it back:
-///   session open <cvd>              enable concurrent sessions on a CVD
-///   session new <cvd>               open a session (prints its id)
-///   session checkout <cvd> <sid> -v <vids> -t <table>
-///   session commit <cvd> <sid> -t <table> -m "<msg>"
+/// Session commands (DESIGN.md §13, §14) — one family over one
+/// session::SessionApi. Sessions run in-process over this processor's CVDs
+/// until `session connect` points the family at an orpheusd server
+/// (start one with `orpheusd serve <dir>`), and again after `session
+/// disconnect`. In-process, a CVD joins the session layer with its first
+/// `session open` and comes back with its last `session close`; plain
+/// checkout/commit/drop on it are refused meanwhile. A checkout lands in
+/// the staging area; a commit ships it and drops it:
+///   session connect <address>       connect (unix:<path> or tcp:<port>);
+///                                   calls retry transient faults and the
+///                                   server deduplicates commits
+///   session disconnect              drop the connection
+///   session open <cvd>              open a session (prints its sid)
+///   session checkout <sid> -v <vids> -t <table>
+///   session commit <sid> -t <table> -m "<msg>"
 ///                                   optimistic commit: reconciles against a
 ///                                   concurrent tip, or reports the conflict
 ///                                   set
-///   session refresh <cvd> <sid>     re-pin to the durable watermark
-///   session ls                      list session-managed CVDs
-///   session close <cvd>             release the CVD back to the session
-///
-/// Remote commands (DESIGN.md §14) — drive an orpheusd server over the
-/// wire protocol (start one with `orpheusd serve <dir>`); calls retry
-/// transient faults with backoff and deduplicate commits server-side:
-///   remote connect <address>        connect (unix:<path> or tcp:<port>)
-///   remote open <cvd>               open a remote session (prints sid)
-///   remote checkout <sid> -v <vids> -t <table>
-///                                   materialize into the local staging area
-///   remote commit <sid> -t <table> -m "<msg>"
-///                                   ship the staging table and commit it
-///   remote refresh <sid>            re-pin the remote watermark
-///   remote heartbeat <sid>          renew the session lease
-///   remote ls                       list the server's CVDs
-///   remote close <sid>              close the remote session
-///   remote disconnect               drop the connection
+///   session refresh <sid>           re-pin to the durable watermark
+///   session heartbeat <sid>         renew a connected session's lease
+///   session ls                      list CVDs with their watermark and
+///                                   open sessions
+///   session close <sid>             close the session
 class CommandProcessor {
  public:
-  CommandProcessor() = default;
+  CommandProcessor();
 
   /// Execute one command line; returns the text to display.
   Result<std::string> Execute(const std::string& line);
@@ -108,19 +103,11 @@ class CommandProcessor {
   int exit_code() const { return exit_code_; }
   void NoteError() { NoteExit(kExitError); }
 
-  /// Accessors for tests and embedding.
+  /// Accessors for tests.
   minidb::Database* staging() { return &staging_; }
   core::Cvd* cvd(const std::string& name) {
     auto it = cvds_.find(name);
     return it == cvds_.end() ? nullptr : it->second.get();
-  }
-  core::AccessController* access() { return &access_; }
-  storage::Repository* repository() { return repo_.get(); }
-  session::Session* session(const std::string& cvd, int sid) {
-    auto it = sessions_.find(cvd);
-    if (it == sessions_.end()) return nullptr;
-    auto jt = it->second.find(sid);
-    return jt == it->second.end() ? nullptr : jt->second.get();
   }
 
  private:
@@ -147,7 +134,6 @@ class CommandProcessor {
   Result<std::string> Optimize(const Args& args);
   Result<std::string> Fsck(const Args& args);
   Result<std::string> SessionCmd(const Args& args);
-  Result<std::string> RemoteCmd(const Args& args);
   Result<std::string> Stats(const Args& args);
   Result<std::string> Trace(const Args& args);
   Result<std::string> Profile(const std::string& command);
@@ -165,10 +151,8 @@ class CommandProcessor {
   void WireCommitObserver(core::Cvd* cvd);
   std::vector<const core::Cvd*> CvdPointers() const;
 
-  /// The session manager owning `cvd`, or an error naming the command to
-  /// run first.
-  Result<session::SessionManager*> FindManager(const std::string& cvd);
-  Result<session::Session*> FindSession(const std::string& cvd, int sid);
+  /// InvalidArgument naming `action` while CVDs have in-process sessions.
+  Status RequireNoLocalSessions(const char* action) const;
 
   void NoteExit(int code) {
     if (code > exit_code_) exit_code_ = code;
@@ -178,12 +162,10 @@ class CommandProcessor {
   std::map<std::string, std::unique_ptr<core::Cvd>> cvds_;
   std::unique_ptr<storage::Repository> repo_;
   core::AccessController access_;
-  // CVDs handed to the concurrent session layer (`session open`), plus the
-  // interactive sessions opened on each, keyed by session id.
-  std::map<std::string, std::unique_ptr<session::SessionManager>> managers_;
-  std::map<std::string, std::map<int, std::unique_ptr<session::Session>>>
-      sessions_;
-  // Remote-mode client (`remote connect`); null until connected.
+  // The session family's backends: in-process sessions over CVDs lent
+  // from cvds_, and the orpheusd client while `session connect`ed.
+  using LocalLoan = session::InProcessSessions::Loan;
+  session::InProcessSessions local_sessions_;
   std::unique_ptr<net::Client> remote_;
   int exit_code_ = 0;
   // CSV checkout provenance: file path -> (cvd name, parent versions).

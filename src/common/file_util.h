@@ -46,7 +46,6 @@ class FileWriter {
   Status Sync();
   Status Close();
 
-  bool is_open() const { return fd_ >= 0; }
   uint64_t offset() const { return offset_; }
   const std::string& path() const { return path_; }
 

@@ -25,9 +25,6 @@ class AccessController {
   /// `whoami`: the current user ("" when not logged in).
   const std::string& current_user() const { return current_; }
 
-  bool HasUser(const std::string& name) const {
-    return users_.count(name) > 0;
-  }
   std::vector<std::string> Users() const {
     return {users_.begin(), users_.end()};
   }

@@ -255,7 +255,6 @@ class SplitByRlistBackend final : public DataModelBackend {
 
   /// Direct access for the partition optimizer.
   const minidb::Table& data_table() const { return data_; }
-  const minidb::Table& versioning_table() const { return versioning_; }
 
  private:
   minidb::Table data_;        // [_rid, attrs...]

@@ -45,7 +45,6 @@ class OnlineMaintainer {
 
   int versions_seen() const { return versions_seen_; }
   const Partitioning& current() const { return current_; }
-  const LyreSplitResult& best_plan() const { return best_plan_; }
   /// Current estimated average checkout cost (records).
   double current_checkout_cost() const;
   double best_checkout_cost() const {

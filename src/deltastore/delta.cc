@@ -15,14 +15,6 @@ uint64_t LineDelta::StorageBytes() const {
   return bytes;
 }
 
-uint64_t LineDelta::OutputLines() const {
-  uint64_t n = 0;
-  for (const auto& op : ops) {
-    n += op.kind == Op::Kind::kCopy ? op.src_len : op.lines.size();
-  }
-  return n;
-}
-
 LineDelta ComputeLineDelta(const FileContent& from, const FileContent& to) {
   // Index source lines by content (first occurrence wins; later duplicates
   // are still matchable through run extension).

@@ -40,9 +40,6 @@ struct LineDelta {
 
   /// ∆: bytes needed to persist this delta (literal payloads + op headers).
   uint64_t StorageBytes() const;
-
-  /// Lines produced when applied (used by recreation-cost models).
-  uint64_t OutputLines() const;
 };
 
 /// Compute a delta that transforms `from` into `to`, using a greedy

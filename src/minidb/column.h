@@ -115,14 +115,6 @@ class Column {
   const std::shared_ptr<const orpheus::RidSet>& GetRidSet(size_t i) const {
     return arrays_[i].set;
   }
-  /// Overwrite cell `i` with a compressed set (must be non-null).
-  void SetRidSet(size_t i, std::shared_ptr<const orpheus::RidSet> set) {
-    assert(set != nullptr);
-    arrays_[i].plain.clear();
-    arrays_[i].plain.shrink_to_fit();
-    arrays_[i].set = std::move(set);
-    if (!valid_.empty()) valid_[i] = 1;
-  }
 
   /// Boxed accessor (respects nulls).
   Value GetValue(size_t i) const;

@@ -180,7 +180,6 @@ Table Table::CopyRows(const std::vector<uint32_t>& rows,
                       std::string new_name) const {
   Table out(std::move(new_name), schema_);
   out.AppendFrom(*this, rows);
-  out.pk_cols_ = pk_cols_;
   return out;
 }
 

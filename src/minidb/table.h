@@ -47,7 +47,6 @@ class Table {
   size_t num_columns() const { return columns_.size(); }
 
   const Column& column(size_t i) const { return columns_[i]; }
-  Column& mutable_column(size_t i) { return columns_[i]; }
 
   /// Append a row after validating arity and cell types.
   Status InsertRow(const Row& row);
@@ -69,11 +68,6 @@ class Table {
     return columns_[col].GetValue(row);
   }
   Row GetRow(uint32_t row) const;
-
-  /// Declare the (composite) primary key columns. Enforcement is performed
-  /// by callers (e.g. CVD commit checks PK uniqueness per version).
-  void SetPrimaryKey(std::vector<int> cols) { pk_cols_ = std::move(cols); }
-  const std::vector<int>& primary_key() const { return pk_cols_; }
 
   /// Build (or rebuild) a unique hash index on integer column `col`.
   /// Subsequent appends maintain the index. Duplicate keys are an error.
@@ -170,7 +164,6 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
-  std::vector<int> pk_cols_;
   // col -> (key -> row id)
   std::map<int, std::unordered_map<int64_t, uint32_t>> indexes_;
 };

@@ -17,7 +17,7 @@
 #include "minidb/table.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "session/session.h"
+#include "session/session_api.h"
 
 namespace orpheus::net {
 
@@ -63,7 +63,7 @@ struct Changeset {
 Changeset DiffChangeset(const minidb::Table& base, const minidb::Table& table);
 
 /// Client side of the orpheusd wire protocol (DESIGN.md §14.5): carries
-/// the Session API over a socket with deadlines, transparent reconnect,
+/// the SessionApi over a socket with deadlines, transparent reconnect,
 /// and capped exponential backoff. Retry policy:
 ///   - Transport faults (Unavailable: reset, refused, torn frame) and
 ///     server verdicts marked retryable are retried on a FRESH connection
@@ -84,25 +84,21 @@ Changeset DiffChangeset(const minidb::Table& base, const minidb::Table& table);
 /// it provably equals its base row.
 ///
 /// NOT thread-safe: one thread drives a Client (like a Session).
-class Client {
+class Client final : public session::SessionApi {
  public:
   /// Connect + handshake within the call deadline. Fails fast on a
   /// protocol-version mismatch (NotSupported — never retried).
   static Result<std::unique_ptr<Client>> Connect(
       const std::string& address, const ClientOptions& options = {});
 
-  struct OpenResult {
-    uint64_t sid = 0;
-    core::VersionId watermark = core::kInvalidVersion;
-  };
-  Result<OpenResult> Open(const std::string& cvd);
+  Result<OpenResult> Open(const std::string& cvd) override;
 
   /// Materialize versions into the session's staging table `table_name`
   /// and return it. The reply also becomes the base a later Commit of that
   /// table diffs against (replacing any earlier base of the same name).
   Result<minidb::Table> Checkout(uint64_t sid,
                                  const std::vector<core::VersionId>& vids,
-                                 const std::string& table_name);
+                                 const std::string& table_name) override;
 
   /// Commit `table` (named as the checkout it edits) against the
   /// provenance recorded by the server at Checkout. Ships a changeset: the
@@ -114,14 +110,13 @@ class Client {
   /// (see above); the base stays until the commit succeeds, the server
   /// loses the checkout, the table is checked out again or the session is
   /// closed.
-  Result<session::CommitOutcome> Commit(uint64_t sid,
-                                        const minidb::Table& table,
-                                        const std::string& message,
-                                        const std::string& author = "");
+  Result<session::CommitOutcome> Commit(
+      uint64_t sid, const minidb::Table& table, const std::string& message,
+      const std::string& author = "") override;
 
-  Result<core::VersionId> Refresh(uint64_t sid);
-  Result<std::vector<CvdSummary>> Ls();
-  Status CloseSession(uint64_t sid);
+  Result<core::VersionId> Refresh(uint64_t sid) override;
+  Result<std::vector<CvdSummary>> Ls() override;
+  Status CloseSession(uint64_t sid) override;
   /// Renew the session lease; returns the lease term granted.
   Result<int64_t> Heartbeat(uint64_t sid);
 

@@ -70,13 +70,13 @@ void SessionServer::Stop() {
   // Nudge every live connection so handlers parked in poll() wake now
   // instead of at their next 250ms idle tick. Under mu_, so no handler
   // can close its socket meanwhile (handlers leave conns_ before Close).
-  std::vector<DedicatedThread> handlers;
+  std::map<uint64_t, DedicatedThread> handlers;
   {
     MutexLock lock(&mu_);
     for (auto& entry : conns_) entry.second->ShutdownBoth();
     handlers.swap(handler_threads_);
   }
-  for (DedicatedThread& t : handlers) t.Join();
+  for (auto& entry : handlers) entry.second.Join();
   MutexLock lock(&mu_);
   sessions_.clear();
   conns_.clear();
@@ -118,6 +118,7 @@ void SessionServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     Result<Socket> accepted = listener_.Accept(Deadline::AfterMillis(100));
     ReapExpiredLeases();
+    JoinFinishedHandlers();
     if (stop_.load(std::memory_order_acquire)) break;
     if (!accepted.ok()) {
       if (accepted.status().IsDeadlineExceeded()) continue;
@@ -134,9 +135,29 @@ void SessionServer::AcceptLoop() {
     conns_[conn_id] = sock;
     ++stats_.connections;
     ORPHEUS_COUNTER_ADD("net.server.connections", 1);
-    handler_threads_.emplace_back(
-        "net.conn", [this, sock, conn_id] { HandleConnection(sock, conn_id); });
+    handler_threads_.emplace(
+        conn_id, DedicatedThread("net.conn", [this, sock, conn_id] {
+          HandleConnection(sock, conn_id);
+        }));
   }
+}
+
+void SessionServer::JoinFinishedHandlers() {
+  std::vector<DedicatedThread> finished;
+  {
+    MutexLock lock(&mu_);
+    for (auto it = handler_threads_.begin(); it != handler_threads_.end();) {
+      if (conns_.count(it->first) != 0) {
+        ++it;
+        continue;
+      }
+      finished.push_back(std::move(it->second));
+      it = handler_threads_.erase(it);
+    }
+  }
+  // A handler leaves conns_ in its last critical section, so each join
+  // waits at most for it to close its socket and return.
+  for (DedicatedThread& t : finished) t.Join();
 }
 
 void SessionServer::ReapExpiredLeases() {

@@ -49,7 +49,7 @@ struct ServerOptions {
 ///     are kept in a per-client replay window (pruned by the client's
 ///     acked_seq); a retried request replays the recorded response byte
 ///     for byte instead of re-executing. A commit whose durability wait
-///     timed out is parked (Session::CommitWithDeadline) and a retry
+///     timed out is parked (Session::CommitChangeset) and a retry
 ///     RESUMES the wait — the apply never runs twice.
 ///   - Leases: sessions expire after lease_ms without traffic; the reaper
 ///     (on the accept thread) releases their staging state so a dead
@@ -59,11 +59,12 @@ struct ServerOptions {
 ///     distinct retryable=false status; checkouts, diffs and ls keep
 ///     working — snapshot reads never depend on the WAL.
 ///
-/// Threading: one DedicatedThread accepts + reaps leases; one per live
-/// connection runs the request loop. The registry lock (rank kNetServer,
-/// below every session/storage rank) is never held across a session
-/// operation — a per-session busy flag serializes requests on the same
-/// sid while letting other sessions proceed.
+/// Threading: one DedicatedThread accepts, reaps leases and joins the
+/// handlers of ended connections; one per live connection runs the
+/// request loop. The registry lock (rank kNetServer, below every
+/// session/storage rank) is never held across a session operation — a
+/// per-session busy flag serializes requests on the same sid while
+/// letting other sessions proceed.
 class SessionServer {
  public:
   /// Take ownership of `cvds` (each gets a SessionManager routing commits
@@ -124,6 +125,9 @@ class SessionServer {
   };
 
   void AcceptLoop();
+  /// Join the handlers whose connection has ended (on the accept thread),
+  /// so a finished handler's thread and stack do not outlive it.
+  void JoinFinishedHandlers() ORPHEUS_EXCLUDES(mu_);
   void HandleConnection(std::shared_ptr<Socket> sock, uint64_t conn_id);
   /// Run one request; returns the encoded Response to send.
   std::string Dispatch(const std::string& client_uuid, Request req);
@@ -187,7 +191,9 @@ class SessionServer {
   Stats stats_ ORPHEUS_GUARDED_BY(mu_);
 
   DedicatedThread accept_thread_;
-  std::vector<DedicatedThread> handler_threads_ ORPHEUS_GUARDED_BY(mu_);
+  // Connection id -> its handler, until the accept thread joins it once
+  // the id has left conns_.
+  std::map<uint64_t, DedicatedThread> handler_threads_ ORPHEUS_GUARDED_BY(mu_);
 };
 
 }  // namespace orpheus::net

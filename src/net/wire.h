@@ -13,7 +13,7 @@
 #include "core/types.h"
 #include "minidb/table.h"
 #include "net/socket.h"
-#include "session/session.h"
+#include "session/session_api.h"
 #include "storage/format.h"
 
 namespace orpheus::net {
@@ -110,13 +110,7 @@ struct Request {
 };
 
 /// One served CVD, for kLs.
-struct CvdSummary {
-  std::string name;
-  int num_versions = 0;
-  core::VersionId watermark = core::kInvalidVersion;
-  int open_sessions = 0;
-  bool failed = false;  // manager poisoned (commits refused)
-};
+using session::CvdSummary;
 
 struct Response {
   uint64_t request_seq = 0;  // echo of the request's stamp

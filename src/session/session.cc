@@ -61,8 +61,16 @@ class ORPHEUS_SCOPED_CAPABILITY TracedMutexLock {
 
 Status Session::Checkout(const std::vector<core::VersionId>& vids,
                          const std::string& table_name) {
-  if (staging_.HasTable(table_name) ||
-      parents_.find(table_name) != parents_.end()) {
+  ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table,
+                           CheckoutTable(vids, table_name));
+  Status adopted = staging_.AdoptTable(std::move(table)).status();
+  if (!adopted.ok()) parents_.erase(table_name);
+  return adopted;
+}
+
+Result<minidb::Table> Session::CheckoutTable(
+    const std::vector<core::VersionId>& vids, const std::string& table_name) {
+  if (parents_.find(table_name) != parents_.end()) {
     return Status::InvalidArgument(StrFormat(
         "staging table \"%s\" already exists in session %d",
         table_name.c_str(), id_));
@@ -70,18 +78,14 @@ Status Session::Checkout(const std::vector<core::VersionId>& vids,
   ORPHEUS_ASSIGN_OR_RETURN(
       minidb::Table table,
       manager_->Materialize(vids, table_name, watermark_));
-  ORPHEUS_ASSIGN_OR_RETURN(minidb::Table * adopted,
-                           staging_.AdoptTable(std::move(table)));
-  (void)adopted;
   parents_[table_name] = vids;
-  return Status::OK();
+  return table;
 }
 
 Status Session::CheckoutSelection(
     const std::vector<core::VersionId>& vids, const std::string& table_name,
     const std::function<void(const core::RowSelection&)>& emit) {
-  if (staging_.HasTable(table_name) ||
-      parents_.find(table_name) != parents_.end()) {
+  if (parents_.find(table_name) != parents_.end()) {
     return Status::InvalidArgument(StrFormat(
         "staging table \"%s\" already exists in session %d",
         table_name.c_str(), id_));
@@ -100,27 +104,23 @@ Status Session::CheckoutSelection(
 Result<CommitOutcome> Session::Commit(const std::string& table_name,
                                       const std::string& message,
                                       const std::string& author) {
-  CommitOutcome out;
-  ORPHEUS_RETURN_NOT_OK(CommitWithDeadline(table_name, message, author,
-                                           Deadline::Infinite(), &out));
-  return out;
-}
-
-Status Session::CommitWithDeadline(const std::string& table_name,
-                                   const std::string& message,
-                                   const std::string& author,
-                                   const Deadline& deadline,
-                                   CommitOutcome* out) {
-  auto pending_it = pending_commits_.find(table_name);
-  if (pending_it != pending_commits_.end()) {
-    return ResumePending(pending_it, deadline, out);
-  }
   const minidb::Table* table = staging_.GetTable(table_name);
   if (table == nullptr) {
     return Status::NotFound(StrFormat(
         "no staging table \"%s\" in session %d", table_name.c_str(), id_));
   }
-  return CommitRows(table_name, *table, {}, message, author, deadline, out);
+  return CommitTable(*table, message, author);
+}
+
+Result<CommitOutcome> Session::CommitTable(const minidb::Table& table,
+                                           const std::string& message,
+                                           const std::string& author) {
+  // A copy: committing a staged table drops it, name and all.
+  const std::string name = table.name();
+  CommitOutcome out;
+  ORPHEUS_RETURN_NOT_OK(CommitRows(name, table, {}, message, author,
+                                   Deadline::Infinite(), &out));
+  return out;
 }
 
 Status Session::CommitChangeset(const std::string& table_name,
@@ -227,8 +227,7 @@ Status Session::DiscardStaging(const std::string& table_name) {
         "%d; resolve it before discarding",
         table_name.c_str(), id_));
   }
-  if (!staging_.HasTable(table_name) &&
-      kept_checkouts_.find(table_name) == kept_checkouts_.end()) {
+  if (parents_.find(table_name) == parents_.end()) {
     return Status::NotFound(StrFormat(
         "no staging table \"%s\" in session %d", table_name.c_str(), id_));
   }

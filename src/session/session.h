@@ -85,6 +85,11 @@ class Session {
   Status Checkout(const std::vector<core::VersionId>& vids,
                   const std::string& table_name);
 
+  /// Checkout that hands the table to the caller instead of staging it;
+  /// the session records only its provenance, for CommitTable.
+  Result<minidb::Table> CheckoutTable(const std::vector<core::VersionId>& vids,
+                                      const std::string& table_name);
+
   /// The session's staging area (mutate checked-out tables here).
   minidb::Database* staging() { return &staging_; }
   minidb::Table* table(const std::string& name) {
@@ -99,19 +104,11 @@ class Session {
                                const std::string& message,
                                const std::string& author = "");
 
-  /// Commit with a bounded durability wait (the network server's commit
-  /// path: a client deadline must not hang on a stalled group-commit
-  /// leader). On DeadlineExceeded the commit was APPLIED in memory but its
-  /// WAL batch is still in flight — the outcome is unknown, the staging
-  /// table is kept, and the session remembers the in-flight tickets: a
-  /// later call for the same table re-waits those tickets instead of
-  /// re-applying, so retrying after a timeout can never double-commit.
-  /// Any other error is definitive (validation failure, conflict-free
-  /// apply error, or a durability failure that poisons the manager).
-  Status CommitWithDeadline(const std::string& table_name,
-                            const std::string& message,
-                            const std::string& author,
-                            const Deadline& deadline, CommitOutcome* out);
+  /// Commit `table`, the caller's edit of the checkout named table.name(),
+  /// against the parents recorded at that checkout; as Commit otherwise.
+  Result<CommitOutcome> CommitTable(const minidb::Table& table,
+                                    const std::string& message,
+                                    const std::string& author = "");
 
   /// The server's form of Checkout (DESIGN.md §14.1): select the versions'
   /// rows and hand the selection to `emit` while the CVD's reader lock is
@@ -132,9 +129,17 @@ class Session {
   /// commit. InvalidArgument if `deleted` is unsorted, repeats a rid, or
   /// names one the checkout does not hold, or if `rows` carries records
   /// while its columns differ from the checkout's in more than order (a
-  /// schema change ships every row). Otherwise as
-  /// CommitWithDeadline; a parked commit is resumed and the re-sent
-  /// changeset ignored.
+  /// schema change ships every row).
+  ///
+  /// The durability wait is bounded by `deadline` (a client deadline must
+  /// not hang on a stalled group-commit leader). On DeadlineExceeded the
+  /// commit was APPLIED in memory but its WAL batch is still in flight —
+  /// the outcome is unknown, and the session parks the in-flight tickets:
+  /// a later call for the same table re-waits them, ignoring the re-sent
+  /// changeset, instead of re-applying, so retrying after a timeout can
+  /// never double-commit. Any other error is definitive (validation
+  /// failure, apply error, or a durability failure that poisons the
+  /// manager).
   Status CommitChangeset(const std::string& table_name,
                          const minidb::Table& rows,
                          const std::vector<core::RecordId>& deleted,
@@ -142,15 +147,15 @@ class Session {
                          const Deadline& deadline, CommitOutcome* out);
 
   /// True while a deadline-exceeded commit for `table_name` awaits its
-  /// durability verdict (CommitWithDeadline must be called to resolve it).
+  /// durability verdict (CommitChangeset must be called to resolve it).
   bool HasPendingCommit(const std::string& table_name) const {
     return pending_commits_.find(table_name) != pending_commits_.end();
   }
 
-  /// Drop a staged table (or its kept rid list) and its provenance without
-  /// committing (the server uses this to make a retried checkout
-  /// idempotent). Refused while a timed-out commit for `table_name` is
-  /// still in flight.
+  /// Drop a checkout (its staged table or kept rid list, and its
+  /// provenance) without committing (a checkout of a name already held
+  /// uses this to replace it). Refused while a timed-out commit for
+  /// `table_name` is still in flight.
   Status DiscardStaging(const std::string& table_name);
 
   /// The parent versions recorded for `table_name` at Checkout, or null.
@@ -175,7 +180,7 @@ class Session {
   Session(SessionManager* manager, int id, core::VersionId watermark)
       : manager_(manager), id_(id), watermark_(watermark) {}
 
-  /// Re-wait the parked commit at `pending` (see CommitWithDeadline).
+  /// Re-wait the parked commit at `pending` (see CommitChangeset).
   Status ResumePending(
       std::unordered_map<std::string, PendingDurability>::iterator pending,
       const Deadline& deadline, CommitOutcome* out);
@@ -201,7 +206,7 @@ class Session {
   };
   std::unordered_map<std::string, KeptCheckout> kept_checkouts_;
   // Staging table -> commit applied in memory but with its WAL batch still
-  // in flight after a durability-wait timeout (see CommitWithDeadline).
+  // in flight after a durability-wait timeout (see CommitChangeset).
   std::unordered_map<std::string, PendingDurability> pending_commits_;
 };
 
@@ -224,8 +229,6 @@ class SessionManager {
   /// used afterwards.
   std::unique_ptr<core::Cvd> Release();
 
-  const std::string& cvd_name() const { return name_; }
-
   /// Durable high-water mark: versions <= this are applied AND logged.
   core::VersionId watermark() const {
     return watermark_.load(std::memory_order_acquire);
@@ -239,10 +242,6 @@ class SessionManager {
   /// Run a read-only callback against the CVD under the shared data lock
   /// (for callers outside the Session API, e.g. the CLI's ls/log).
   Status ReadCvd(const std::function<Status(const core::Cvd&)>& fn) const;
-
-  int sessions_opened() const {
-    return next_session_id_.load(std::memory_order_relaxed) - 1;
-  }
 
  private:
   friend class Session;

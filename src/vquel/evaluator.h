@@ -38,11 +38,6 @@ class Session {
   /// Execute a single parsed query.
   Result<QueryResult> ExecuteQuery(const Query& query);
 
-  const QueryResult* named_result(const std::string& name) const {
-    auto it = named_results_.find(name);
-    return it == named_results_.end() ? nullptr : &it->second;
-  }
-
  private:
   const VersionStore* store_;
   std::map<std::string, QueryResult> named_results_;

@@ -36,7 +36,6 @@ int VersionStore::AddVersion(Version version) {
   for (size_t r = 0; r < version.relations.size(); ++r) {
     for (const auto& rec : version.relations[r].tuples) {
       record_index_.emplace(rec.id, std::make_pair(idx, static_cast<int>(r)));
-      next_record_id_ = std::max(next_record_id_, rec.id + 1);
     }
   }
   versions_.push_back(std::move(version));

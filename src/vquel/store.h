@@ -64,13 +64,9 @@ class VersionStore {
   /// Undirected neighborhood within `hops` (VQuel's N()).
   std::vector<int> Neighborhood(int v, int hops) const;
 
-  /// Next unused record id (callers allocate ids through this).
-  int64_t NextRecordId() { return next_record_id_++; }
-
  private:
   std::vector<Version> versions_;
   std::map<int64_t, std::pair<int, int>> record_index_;  // id -> (v, rel)
-  int64_t next_record_id_ = 0;
 };
 
 }  // namespace orpheus::vquel

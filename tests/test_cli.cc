@@ -3,11 +3,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cli/command_processor.h"
-#include "core/access_control.h"
 #include "common/string_util.h"
+#include "core/access_control.h"
+#include "core/cvd.h"
 #include "minidb/csv.h"
+#include "net/server.h"
+#include "storage/repository.h"
 
 namespace orpheus::cli {
 namespace {
@@ -223,119 +229,228 @@ TEST_F(CliTest, CommitFromMissingCsvNamesThePath) {
   EXPECT_NE(s.message().find(path), std::string::npos) << s.ToString();
 }
 
-TEST_F(CliTest, SessionLifecycle) {
-  SeedStagingTable("cities");
-  Ok("init Cities -t cities -k city");
-  std::string out = Ok("session open Cities");
-  EXPECT_NE(out.find("session-managed"), std::string::npos) << out;
+// The session family's backends.
+enum class Backend { kInProcess, kConnected };
 
-  // While session-managed, the single-user commands must stand aside.
-  Status plain = Err("checkout Cities -v 1 -t w");
-  EXPECT_TRUE(plain.IsInvalidArgument()) << plain.ToString();
-  EXPECT_NE(plain.message().find("open for concurrent use"), std::string::npos)
-      << plain.ToString();
-  EXPECT_TRUE(Err("drop Cities").IsInvalidArgument());
-  EXPECT_TRUE(Err("session open Cities").IsAlreadyExists());
-  EXPECT_NE(Ok("ls").find("session-managed"), std::string::npos);
+/// The session family's tests, run on both backends: in-process sessions
+/// over the processor's own CVDs, and a connection to an orpheusd server
+/// on a unix socket.
+class CliSessionTest : public CliTest,
+                       public ::testing::WithParamInterface<Backend> {
+ protected:
+  bool connected() const { return GetParam() == Backend::kConnected; }
 
-  EXPECT_NE(Ok("session new Cities").find("opened session 1"),
+  /// Make CVD Cities (key city: springfield 30000, shelbyville 20000)
+  /// reachable through the session family: init'ed in the processor
+  /// in-process, served by a fresh server otherwise. With `dir`, its
+  /// versions are durable in a repository there.
+  void SetUpCities(const std::string& dir = "") {
+    SeedStagingTable("cities");
+    if (!connected()) {
+      if (!dir.empty()) Ok("open " + dir);
+      Ok("init Cities -t cities -k city");
+      return;
+    }
+    core::Cvd::Options cvd_options;
+    cvd_options.primary_key = {"city"};
+    auto cvd = core::Cvd::Init(
+        "Cities", *processor_.staging()->GetTable("cities"), cvd_options);
+    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+    if (!dir.empty()) {
+      auto repo = storage::Repository::Open(dir);
+      ASSERT_TRUE(repo.ok()) << repo.status().ToString();
+      server_repo_ = repo.MoveValueOrDie();
+      ASSERT_TRUE(server_repo_->LogCreate(**cvd).ok());
+    }
+    std::vector<std::unique_ptr<core::Cvd>> cvds;
+    cvds.push_back(cvd.MoveValueOrDie());
+    net::ServerOptions options;
+    options.listen = "unix:" + MakeTempDir() + "/sock";
+    auto server =
+        net::SessionServer::Start(server_repo_.get(), std::move(cvds), options);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    server_ = server.MoveValueOrDie();
+    Ok("session connect " + server_->address());
+  }
+
+  /// Shut the server down and close its repository.
+  void StopServer() {
+    std::vector<std::unique_ptr<core::Cvd>> cvds = server_->ReleaseCvds();
+    std::vector<const core::Cvd*> pointers;
+    for (const auto& cvd : cvds) pointers.push_back(cvd.get());
+    ASSERT_TRUE(server_repo_->Close(pointers).ok());
+  }
+
+  /// Overwrite row `row` of staging table `table` with (city, pop).
+  void SetCity(const std::string& table, uint32_t row, const char* city,
+               int64_t pop) {
+    Table* t = processor_.staging()->GetTable(table);
+    ASSERT_NE(t, nullptr) << table;
+    t->SetRow(row, {t->GetRow(row)[0], Value(city), Value(pop)});
+  }
+
+  std::unique_ptr<storage::Repository> server_repo_;
+  std::unique_ptr<net::SessionServer> server_;
+};
+
+TEST_P(CliSessionTest, SessionLifecycle) {
+  SetUpCities();
+  EXPECT_NE(Ok("session open Cities").find("opened session 1"),
             std::string::npos);
-  EXPECT_NE(Ok("session new Cities").find("opened session 2"),
+  if (!connected()) {
+    // While the CVD has in-process sessions, the single-user commands
+    // stand aside.
+    Status plain = Err("checkout Cities -v 1 -t w");
+    EXPECT_TRUE(plain.IsInvalidArgument()) << plain.ToString();
+    EXPECT_NE(plain.message().find("open for concurrent use"),
+              std::string::npos)
+        << plain.ToString();
+    EXPECT_TRUE(Err("drop Cities").IsInvalidArgument());
+    EXPECT_NE(Ok("ls").find("session-managed"), std::string::npos);
+  }
+  EXPECT_NE(Ok("session open Cities").find("opened session 2"),
             std::string::npos);
-  Ok("session checkout Cities 1 -v 1 -t w1");
-  Ok("session checkout Cities 2 -v 1 -t w2");
+  std::string out = Ok("session checkout 1 -v 1 -t w1");
+  EXPECT_NE(out.find("(2 record(s))"), std::string::npos) << out;
+  Ok("session checkout 2 -v 1 -t w2");
 
-  // Disjoint edits: session 1 grows springfield, session 2 shelbyville.
-  // Session staging tables live inside each Session, not the shared
-  // staging database, so plain `run` SQL cannot reach another session's
-  // uncommitted work.
-  Table* w1 = processor_.session("Cities", 1)->table("w1");
-  ASSERT_NE(w1, nullptr);
-  w1->SetRow(0, {w1->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{31000})});
-  Table* w2 = processor_.session("Cities", 2)->table("w2");
-  ASSERT_NE(w2, nullptr);
-  w2->SetRow(1, {w2->GetRow(1)[0], Value("shelbyville"),
-                 Value(int64_t{21000})});
-
-  Ok("session commit Cities 1 -t w1 -m grow1");
-  std::string merged = Ok("session commit Cities 2 -t w2 -m grow2");
+  // Disjoint edits of the staging area: session 1 grows springfield,
+  // session 2 shelbyville.
+  SetCity("w1", 0, "springfield", 31000);
+  SetCity("w2", 1, "shelbyville", 21000);
+  Ok("session commit 1 -t w1 -m grow1");
+  std::string merged = Ok("session commit 2 -t w2 -m grow2");
   EXPECT_NE(merged.find("reconciled with concurrent version 2"),
             std::string::npos)
       << merged;
   EXPECT_NE(merged.find("merge version 4"), std::string::npos) << merged;
+  // A commit ships its staging table and drops it.
+  EXPECT_EQ(processor_.staging()->GetTable("w1"), nullptr);
+  EXPECT_EQ(processor_.staging()->GetTable("w2"), nullptr);
 
-  EXPECT_NE(Ok("session ls").find("open session(s)"), std::string::npos);
-  out = Ok("session close Cities");
-  EXPECT_NE(out.find("2 session(s) closed"), std::string::npos) << out;
-  // The CVD is back under single-user control, merge history intact.
-  Ok("checkout Cities -v 4 -t merged");
+  out = Ok("session ls");
+  EXPECT_NE(out.find("Cities  (4 version(s), watermark v4, 2 open session(s))"),
+            std::string::npos)
+      << out;
+  out = Ok("session refresh 1");
+  EXPECT_NE(out.find("session 1 now at watermark v4"), std::string::npos)
+      << out;
+  Ok("session close 1");
+  Ok("session close 2");
+  if (!connected()) {
+    // The last close handed the CVD back, merge history intact.
+    EXPECT_NE(Ok("session ls").find("no CVD has open sessions"),
+              std::string::npos);
+    Ok("checkout Cities -v 4 -t merged");
+  } else {
+    Ok("session open Cities");
+    Ok("session checkout 3 -v 4 -t merged");
+  }
   Table* m = processor_.staging()->GetTable("merged");
   ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->num_rows(), 2u);
-  EXPECT_TRUE(Err("session new Cities").IsNotFound());
+  ASSERT_EQ(m->num_rows(), 2u);
+  EXPECT_EQ(m->GetValue(0, 2).AsInt(), 31000);
+  EXPECT_EQ(m->GetValue(1, 2).AsInt(), 21000);
 }
 
-TEST_F(CliTest, SessionConflictRendering) {
-  SeedStagingTable("cities");
-  Ok("init Cities -t cities -k city");
+TEST_P(CliSessionTest, SessionConflictRendering) {
+  SetUpCities();
   Ok("session open Cities");
-  Ok("session new Cities");
-  Ok("session new Cities");
-  Ok("session checkout Cities 1 -v 1 -t w1");
-  Ok("session checkout Cities 2 -v 1 -t w2");
-  Table* w1 = processor_.session("Cities", 1)->table("w1");
-  ASSERT_NE(w1, nullptr);
-  w1->SetRow(0, {w1->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{111})});
-  Table* w2 = processor_.session("Cities", 2)->table("w2");
-  ASSERT_NE(w2, nullptr);
-  w2->SetRow(0, {w2->GetRow(0)[0], Value("springfield"),
-                 Value(int64_t{222})});
-  Ok("session commit Cities 1 -t w1 -m first");
-  std::string out = Ok("session commit Cities 2 -t w2 -m second");
+  Ok("session open Cities");
+  Ok("session checkout 1 -v 1 -t w1");
+  Ok("session checkout 2 -v 1 -t w2");
+  SetCity("w1", 0, "springfield", 111);
+  SetCity("w2", 0, "springfield", 222);
+  Ok("session commit 1 -t w1 -m first");
+  std::string out = Ok("session commit 2 -t w2 -m second");
+  EXPECT_NE(out.find("session 2 committed table w2 as version 3"),
+            std::string::npos)
+      << out;
   EXPECT_NE(out.find("CONFLICT with concurrent version 2"), std::string::npos)
       << out;
   EXPECT_NE(out.find("divergent branch"), std::string::npos) << out;
-  EXPECT_NE(out.find("key=springfield attribute=pop"), std::string::npos)
+  EXPECT_NE(out.find("key=springfield attribute=pop base=30000 ours=222 "
+                     "theirs=111"),
+            std::string::npos)
       << out;
-  Ok("session close Cities");
+  Ok("session close 1");
+  Ok("session close 2");
 }
 
-TEST_F(CliTest, SessionOpenGuards) {
-  SeedStagingTable("cities");
-  Ok("init Cities -t cities -k city");
+TEST_P(CliSessionTest, SessionOpenGuards) {
+  SetUpCities();
   EXPECT_TRUE(Err("session open Ghost").IsNotFound());
-  // A pending staged checkout pins the CVD to this processor.
-  Ok("checkout Cities -v 1 -t pending");
-  Status staged = Err("session open Cities");
-  EXPECT_TRUE(staged.IsInvalidArgument()) << staged.ToString();
-  EXPECT_NE(staged.message().find("staged checkouts"), std::string::npos);
-  Ok("commit -t pending -m flush");
+  if (!connected()) {
+    // A pending staged checkout pins the CVD to this processor.
+    Ok("checkout Cities -v 1 -t pending");
+    Status staged = Err("session open Cities");
+    EXPECT_TRUE(staged.IsInvalidArgument()) << staged.ToString();
+    EXPECT_NE(staged.message().find("staged checkouts"), std::string::npos);
+    Ok("commit -t pending -m flush");
+    // Leases and connections belong to the connected backend.
+    EXPECT_TRUE(Err("session heartbeat 1").IsInvalidArgument());
+    EXPECT_TRUE(Err("session disconnect").IsInvalidArgument());
+  }
   Ok("session open Cities");
-  EXPECT_TRUE(Err("session new Ghost").IsNotFound());
-  EXPECT_TRUE(Err("session checkout Cities 9 -v 1 -t w").IsNotFound());
-  EXPECT_TRUE(Err("session checkout Cities bogus -v 1 -t w")
-                  .IsInvalidArgument());
-  Ok("session close Cities");
+  EXPECT_TRUE(Err("session checkout 9 -v 1 -t w").IsNotFound());
+  EXPECT_TRUE(Err("session checkout bogus -v 1 -t w").IsInvalidArgument());
+  Ok("session checkout 1 -v 1 -t w");
+  EXPECT_TRUE(Err("session checkout 1 -v 1 -t w").IsAlreadyExists());
+  EXPECT_TRUE(Err("session commit 1 -t nope -m x").IsNotFound());
+  if (connected()) {
+    EXPECT_NE(Ok("session heartbeat 1").find("lease renewed"),
+              std::string::npos);
+  }
+  Ok("session close 1");
+  if (connected()) {
+    Ok("session disconnect");
+    // In-process again, and this processor holds no CVD named Cities.
+    EXPECT_TRUE(Err("session open Cities").IsNotFound());
+  }
 }
 
-TEST_F(CliTest, RepositoryLifecycleRefusedWhileSessionManaged) {
+TEST_P(CliSessionTest, RepositoryLifecycleRefusedWhileSessionManaged) {
   const std::string dir = MakeTempDir();
-  Ok("open " + dir);
-  SeedStagingTable("cities");
-  Ok("init Cities -t cities -k city");
+  SetUpCities(dir);
   Ok("session open Cities");
-  for (const char* cmd : {"checkpoint", "close"}) {
-    Status s = Err(cmd);
-    EXPECT_TRUE(s.IsInvalidArgument()) << cmd << ": " << s.ToString();
-    EXPECT_NE(s.message().find("session close"), std::string::npos)
-        << s.ToString();
+  Ok("session checkout 1 -v 1 -t w");
+  SetCity("w", 0, "springfield", 31000);
+  Ok("session commit 1 -t w -m grow");
+  if (!connected()) {
+    for (const char* cmd : {"checkpoint", "close"}) {
+      Status s = Err(cmd);
+      EXPECT_TRUE(s.IsInvalidArgument()) << cmd << ": " << s.ToString();
+      EXPECT_NE(s.message().find("session close"), std::string::npos)
+          << s.ToString();
+    }
+  } else {
+    // Connected sessions hold the server's CVDs, not this processor's, so
+    // its own repository lifecycle goes on.
+    Ok("open " + MakeTempDir());
+    Ok("checkpoint");
+    Ok("close");
   }
-  Ok("session close Cities");
+  Ok("session close 1");
+  if (connected()) {
+    StopServer();
+  } else {
+    Ok("close");
+  }
+  // Either way the commit is durable in the repository.
+  EXPECT_NE(Ok("fsck -d " + dir).find("clean"), std::string::npos);
+  Ok("open " + dir);
+  EXPECT_NE(Ok("log Cities").find("version 2"), std::string::npos);
   Ok("close");
   EXPECT_EQ(processor_.exit_code(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CliSessionTest,
+    ::testing::Values(Backend::kInProcess, Backend::kConnected),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(info.param == Backend::kInProcess ? "InProcess"
+                                                           : "Connected");
+    });
 
 TEST_F(CliTest, FsckSetsCorruptExitCode) {
   const std::string dir = MakeTempDir();

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -347,9 +349,7 @@ std::string EncodedTable(const Table& table) {
 TEST_F(NetTest, SelectionCodecMatchesEncodedCopy) {
   Table table = EveryTypeTable();
   // NULL cells whose physical slots still hold values encode as zero slots.
-  for (size_t c = 1; c < table.num_columns(); ++c) {
-    table.mutable_column(c).SetNull(2);
-  }
+  table.SetRow(2, minidb::Row(table.num_columns(), Value::Null()));
   core::RowSelection sel;
   sel.table = &table;
   sel.rows = {3, 1, 2, 0, 1};
@@ -363,6 +363,12 @@ TEST_F(NetTest, SelectionCodecMatchesEncodedCopy) {
   sel.rows.clear();
   EXPECT_EQ(EncodedSelection(sel, "copy"),
             EncodedTable(table.ProjectRows(sel.rows, sel.cols, "copy")));
+}
+
+void SetCell(Table* table, uint32_t row, size_t col, Value value) {
+  minidb::Row cells = table->GetRow(row);
+  cells[col] = std::move(value);
+  table->SetRow(row, cells);
 }
 
 /// A CVD history with NULLs, doubles and strings, and attributes added and
@@ -390,7 +396,7 @@ std::unique_ptr<core::Cvd> EvolvedCvd(core::DataModelType model) {
 
   Table v2 = cvd->Materialize({1}, "v2").MoveValueOrDie();
   for (uint32_t r = 0; r < v2.num_rows(); r += 4) {
-    v2.mutable_column(2).SetValue(r, Value(-1.25 * r));
+    SetCell(&v2, r, 2, Value(-1.25 * r));
   }
   v2.DeleteRows({1, 9, 17});
   v2.AppendRowUnchecked({Value::Null(), Value(int64_t{41}), Value::Null(),
@@ -400,7 +406,7 @@ std::unique_ptr<core::Cvd> EvolvedCvd(core::DataModelType model) {
   Table v3 = cvd->Materialize({1}, "v3").MoveValueOrDie();
   ORPHEUS_CHECK_OK(v3.AddColumn({"note", ValueType::kString}));
   for (uint32_t r = 0; r < 6; ++r) {
-    v3.mutable_column(5).SetValue(r, Value("note" + std::to_string(r)));
+    SetCell(&v3, r, 5, Value("note" + std::to_string(r)));
   }
   v3.AppendRowUnchecked({Value::Null(), Value(int64_t{42}), Value(0.5),
                          Value::Null(), Value(int64_t{1}), Value("late")});
@@ -408,7 +414,7 @@ std::unique_ptr<core::Cvd> EvolvedCvd(core::DataModelType model) {
 
   Table v4 = cvd->Materialize({3}, "v4").MoveValueOrDie();
   ORPHEUS_CHECK_OK(v4.WidenColumn(4, ValueType::kDouble));
-  v4.mutable_column(4).SetValue(0, Value(2.75));
+  SetCell(&v4, 0, 4, Value(2.75));
   commit(v4, 3);
   return cvd;
 }
@@ -689,6 +695,44 @@ TEST_F(NetTest, LifecycleOverUnixSocket) {
 }
 
 TEST_F(NetTest, LifecycleOverLoopbackTcp) { RunLifecycle("tcp:0"); }
+
+/// A field of this process's /proc/self/status ("VmSize" in kB,
+/// "Threads"), or -1 when it cannot be read.
+int64_t ProcStatus(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, field.size() + 1, field + ":") == 0) {
+      return std::strtoll(line.c_str() + field.size() + 1, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
+TEST_F(NetTest, SequentialConnectionsDoNotAccumulateHandlers) {
+  ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = StartMemoryServer(options);
+  auto cycle = [&] {
+    auto client = Client::Connect(server->address(), FastClientOptions(1));
+    ORPHEUS_CHECK_OK(client.status());
+    EXPECT_EQ(NumVersions(client.ValueOrDie().get()), 1);
+  };
+  // Warm up allocator arenas and the thread-stack cache first.
+  for (int i = 0; i < 20; ++i) cycle();
+  const int64_t vm_kb = ProcStatus("VmSize");
+  const int64_t threads = ProcStatus("Threads");
+  ASSERT_GT(vm_kb, 0);
+  ASSERT_GT(threads, 0);
+  for (int i = 0; i < 500; ++i) cycle();
+  // A handler that outlived its connection kept its ~8 MB stack mapped:
+  // 500 of them would add ~4 GB. Joined, they add at most a one-off for
+  // two handlers alive at once: a second cached stack and a 64 MB malloc
+  // arena (~72 MB on glibc).
+  EXPECT_LT(ProcStatus("VmSize") - vm_kb, 256 * 1024);
+  EXPECT_LE(ProcStatus("Threads") - threads, 2);
+  EXPECT_EQ(server->stats().connections, 520u);
+}
 
 TEST_F(NetTest, ListenerRejectsNonLoopbackTcp) {
   EXPECT_FALSE(Listener::Listen("tcp:8.8.8.8:1234").ok());

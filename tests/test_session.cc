@@ -35,6 +35,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "session/session.h"
+#include "session/session_api.h"
 #include "storage/format.h"
 #include "storage/repository.h"
 
@@ -1360,6 +1361,149 @@ TEST_F(SessionTest, RemoteCheckoutGathersWhileCommitsAppend) {
     EXPECT_EQ(manager->watermark(), 13);
     server->Stop();
   }
+}
+
+// ---------------------------------------------------------------------------
+// SessionApi differential: in-process sessions vs a socket client
+// ---------------------------------------------------------------------------
+
+/// The differential test's CVD: (id, name, score) keyed by id.
+std::unique_ptr<core::Cvd> ApiSeedCvd() {
+  Table seed("seed", Schema({{"id", ValueType::kInt64},
+                             {"name", ValueType::kString},
+                             {"score", ValueType::kInt64}}));
+  for (int64_t id = 1; id <= 12; ++id) {
+    ORPHEUS_CHECK_OK(seed.InsertRow({Value(id), Value("a"), Value(id % 3)}));
+  }
+  return core::Cvd::Init("t", seed, PkOptions()).MoveValueOrDie();
+}
+
+void ExpectSameTable(const Table& a, const Table& b) {
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_TRUE(a.schema() == b.schema())
+      << a.schema().ToString() << " vs " << b.schema().ToString();
+  EXPECT_EQ(minidb::ToCsv(a), minidb::ToCsv(b));
+}
+
+/// One seeded script of opens, checkouts (one or two versions), random
+/// edits, commits, refreshes and closes, run step by step through both
+/// SessionApi implementations over copies of one CVD: every sid, pin,
+/// checkout table and commit outcome must agree, and so must every version
+/// of the two CVDs at the end.
+void RunApiDifferential(uint64_t seed, DifferentialTally* tally) {
+  std::unique_ptr<core::Cvd> lent = ApiSeedCvd();
+  InProcessSessions local(
+      [&lent](const std::string& name) -> Result<InProcessSessions::Loan> {
+        if (lent == nullptr || lent->name() != name) {
+          return Status::NotFound("no CVD " + name);
+        }
+        return InProcessSessions::Loan{std::move(lent), nullptr};
+      },
+      [&lent](std::unique_ptr<core::Cvd> cvd) { lent = std::move(cvd); });
+  std::vector<std::unique_ptr<core::Cvd>> served;
+  served.push_back(ApiSeedCvd());
+  net::ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = net::SessionServer::Start(nullptr, std::move(served), options)
+                    .MoveValueOrDie();
+  auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+  SessionApi* apis[2] = {&local, client.get()};
+
+  constexpr int kSessions = 3;
+  uint64_t sids[kSessions];
+  for (uint64_t& sid : sids) {
+    auto a = apis[0]->Open("t");
+    auto b = apis[1]->Open("t");
+    ASSERT_TRUE(a.ok() && b.ok()) << a.status().ToString() << " / "
+                                  << b.status().ToString();
+    EXPECT_EQ(a->sid, b->sid);
+    EXPECT_EQ(a->watermark, b->watermark);
+    sid = a->sid;
+  }
+  // Each session's open checkout on each side (named "w"), if any.
+  std::vector<std::unique_ptr<Table>> work[2];
+  work[0].resize(kSessions);
+  work[1].resize(kSessions);
+  Xorshift rng(seed);
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const int s = static_cast<int>(rng.Uniform(kSessions));
+    const uint64_t sid = sids[s];
+    if (work[0][s] == nullptr) {
+      // Re-pin, then check out the pin, sometimes over an older version.
+      auto wa = apis[0]->Refresh(sid);
+      auto wb = apis[1]->Refresh(sid);
+      ASSERT_TRUE(wa.ok() && wb.ok());
+      ASSERT_EQ(*wa, *wb);
+      std::vector<VersionId> vids = {*wa};
+      if (*wa > 1 && rng.Uniform(4) == 0) {
+        vids.push_back(1 + static_cast<VersionId>(rng.Uniform(*wa - 1)));
+      }
+      for (int side = 0; side < 2; ++side) {
+        auto table = apis[side]->Checkout(sid, vids, "w");
+        ASSERT_TRUE(table.ok()) << table.status().ToString();
+        work[side][s] = std::make_unique<Table>(table.MoveValueOrDie());
+      }
+      ExpectSameTable(*work[0][s], *work[1][s]);
+      continue;
+    }
+    // Edit both copies alike, then commit: other sessions may have
+    // committed since this checkout, so the commit may be overtaken.
+    Xorshift twin = rng;
+    RandomEdits(work[0][s].get(), &rng);
+    RandomEdits(work[1][s].get(), &twin);
+    auto a = apis[0]->Commit(sid, *work[0][s], "edit", "differential");
+    auto b = apis[1]->Commit(sid, *work[1][s], "edit", "differential");
+    ASSERT_EQ(a.status().code(), b.status().code())
+        << a.status().ToString() << " / " << b.status().ToString();
+    work[0][s].reset();
+    work[1][s].reset();
+    if (!a.ok()) continue;
+    EXPECT_EQ(a->vid, b->vid);
+    EXPECT_EQ(a->merged_vid, b->merged_vid);
+    EXPECT_EQ(a->reconciled_with, b->reconciled_with);
+    EXPECT_EQ(a->reconciled, b->reconciled);
+    EXPECT_EQ(SortedConflicts(a->conflicts), SortedConflicts(b->conflicts));
+    if (a->reconciled) ++tally->reconciled;
+    if (!a->conflicts.empty()) ++tally->conflicted;
+  }
+
+  auto la = apis[0]->Ls();
+  auto lb = apis[1]->Ls();
+  ASSERT_TRUE(la.ok() && lb.ok());
+  ASSERT_EQ(la->size(), 1u);
+  ASSERT_EQ(lb->size(), 1u);
+  EXPECT_EQ((*la)[0].num_versions, (*lb)[0].num_versions);
+  EXPECT_EQ((*la)[0].watermark, (*lb)[0].watermark);
+  EXPECT_EQ((*la)[0].open_sessions, kSessions);
+  EXPECT_EQ((*lb)[0].open_sessions, kSessions);
+  for (uint64_t sid : sids) {
+    ORPHEUS_CHECK_OK(apis[0]->CloseSession(sid));
+    ORPHEUS_CHECK_OK(apis[1]->CloseSession(sid));
+  }
+  // The last close hands the in-process CVD back.
+  ASSERT_NE(lent, nullptr);
+  EXPECT_TRUE(apis[0]->Ls()->empty());
+  ORPHEUS_CHECK_OK(server->manager("t")->ReadCvd([&](const core::Cvd& cvd) {
+    EXPECT_EQ(cvd.num_versions(), lent->num_versions());
+    for (VersionId v = 1; v <= cvd.num_versions(); ++v) {
+      ExpectSameTable(*cvd.Materialize({v}, "v"), *lent->Materialize({v}, "v"));
+    }
+    return Status::OK();
+  }));
+  client.reset();
+  server->Stop();
+}
+
+TEST_F(SessionTest, SessionApiBackendsAgree) {
+  DifferentialTally tally;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunApiDifferential(seed, &tally);
+  }
+  // The scripts reach overtaken commits of both kinds.
+  EXPECT_GT(tally.reconciled, 0);
+  EXPECT_GT(tally.conflicted, 0);
 }
 
 // ---------------------------------------------------------------------------
