@@ -1,8 +1,10 @@
 #include "cli/command_processor.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
+#include "common/env.h"
 #include "common/file_util.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
@@ -510,8 +512,10 @@ Result<std::string> CommandProcessor::Optimize(const Args& args) {
   if (!cvd.ok()) return cvd.status();
   double factor = 2.0;
   if (const std::string* g = args.Flag("g")) {
-    factor = std::strtod(g->c_str(), nullptr);
-    if (factor < 1.0) return Status::InvalidArgument("-g must be >= 1");
+    factor = ParseDoubleStrict(*g).value_or(0.0);
+    if (!std::isfinite(factor) || factor < 1.0) {
+      return Status::InvalidArgument("-g must be a finite number >= 1");
+    }
   }
   const auto& graph = (*cvd)->graph();
   // |R| estimate: records in the whole CVD (single partition union).

@@ -33,18 +33,27 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
-}  // namespace
-
-std::optional<int64_t> ParseIntStrict(std::string_view text) {
+template <typename T>
+std::optional<T> ParseStrict(std::string_view text) {
   if (text.empty()) return std::nullopt;
   size_t begin = text[0] == '+' ? 1 : 0;  // from_chars rejects a leading '+'
   if (begin == text.size()) return std::nullopt;
-  int64_t value = 0;
+  T value = 0;
   const char* first = text.data() + begin;
   const char* last = text.data() + text.size();
   auto [end, ec] = std::from_chars(first, last, value);
   if (ec != std::errc() || end != last) return std::nullopt;
   return value;
+}
+
+}  // namespace
+
+std::optional<int64_t> ParseIntStrict(std::string_view text) {
+  return ParseStrict<int64_t>(text);
+}
+
+std::optional<double> ParseDoubleStrict(std::string_view text) {
+  return ParseStrict<double>(text);
 }
 
 int64_t ParseEnvInt(const char* name, int64_t fallback, int64_t min_value,

@@ -18,6 +18,10 @@ namespace orpheus {
 /// or overflow.
 std::optional<int64_t> ParseIntStrict(std::string_view text);
 
+/// The same for doubles, in the C locale whatever LC_NUMERIC says (strtod
+/// would stop "1.5" at the '.' under de_DE). "nan" and "inf" parse.
+std::optional<double> ParseDoubleStrict(std::string_view text);
+
 /// Read env var `name` as an integer clamped to [min_value, max_value].
 /// Unset => `fallback` silently. Set but unparsable or out of range =>
 /// `fallback` with a warning to stderr (once per distinct variable).

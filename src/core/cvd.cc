@@ -1,7 +1,6 @@
 #include "core/cvd.h"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_set>
 
 #include "common/metrics.h"
@@ -60,55 +59,16 @@ Value WidenStoredValue(const Value& v, ValueType to) {
   return v;
 }
 
-// One step of the typed key-tuple hash shared by the commit planner's
-// staged keys and the key index's stored keys.
-size_t CombineKeyHash(size_t h, const Value& cell) {
-  return (h * 0x100000001B3ULL) ^ minidb::KeyHash(cell);
+// The key of the stored records in `table`: its primary-key payload columns.
+minidb::KeyColumns StoredKey(const DataModelBackend& backend,
+                             const std::vector<int>& pk_attrs,
+                             const Table& table) {
+  minidb::KeyColumns key;
+  for (int k : pk_attrs) {
+    key.cols.push_back(&table.column(backend.PayloadColumn(k)));
+  }
+  return key;
 }
-
-// A table row addressed for key identity.
-struct KeyedRow {
-  const Table* table;
-  uint32_t row;
-};
-
-// Typed key identity over table rows (minidb::KeyEquals, never a string
-// render): a row's key is its cells at `cols` (-1 reads NULL), each coerced
-// to `types[i]` when types are given — the type the committed record will
-// store. Serves as both the hash and the equality of a RowKeySet.
-class RowKeyOf {
- public:
-  RowKeyOf(std::vector<int> cols, std::vector<ValueType> types)
-      : cols_(std::move(cols)), types_(std::move(types)) {}
-
-  Value Cell(const KeyedRow& r, size_t i) const {
-    if (cols_[i] < 0) return Value::Null();
-    Value v = r.table->GetValue(r.row, static_cast<size_t>(cols_[i]));
-    return types_.empty() ? v : CoerceValue(v, types_[i]);
-  }
-  Row Key(const KeyedRow& r) const {
-    Row key;
-    for (size_t i = 0; i < cols_.size(); ++i) key.push_back(Cell(r, i));
-    return key;
-  }
-  size_t operator()(const KeyedRow& r) const {
-    size_t h = 0;
-    for (size_t i = 0; i < cols_.size(); ++i) h = CombineKeyHash(h, Cell(r, i));
-    return h;
-  }
-  bool operator()(const KeyedRow& a, const KeyedRow& b) const {
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      if (!minidb::KeyEquals(Cell(a, i), Cell(b, i))) return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<int> cols_;
-  std::vector<ValueType> types_;
-};
-
-using RowKeySet = std::unordered_set<KeyedRow, RowKeyOf, RowKeyOf>;
 
 // With ORPHEUS_VALIDATE set, re-check the CVD's invariants after a mutating
 // operation and abort on damage (see core/validate.h).
@@ -196,54 +156,50 @@ Result<RowSelection> Cvd::Select(const std::vector<VersionId>& vids) const {
                                backend_->Select(DenseId(vids[i])));
       parts.push_back(std::move(next));
     }
-    // Versions selected from one table merge as a row selection; otherwise
-    // (a-table-per-version, delta-based) each is copied out and the kept
-    // rows are appended to the first.
+    std::vector<int> key_cols = PrimaryKeyAttrs();
+    for (int& c : key_cols) ++c;
+    if (key_cols.empty()) key_cols.push_back(0);
+    std::vector<minidb::KeyColumns> keys(parts.size());
+    size_t scanned = 0;
     bool shared = true;
-    for (const RowSelection& part : parts) {
-      shared = shared && part.table == parts[0].table &&
-               part.cols == parts[0].cols;
-    }
-    if (!shared) {
-      for (RowSelection& part : parts) {
-        part = RowSelection::Own(std::move(part).Materialize("merge"));
-      }
-    }
-    std::vector<int> key_cols;
-    for (const auto& pk : options_.primary_key) {
-      int k = backend_->data_schema().FindColumn(pk);
-      if (k >= 0) key_cols.push_back(parts[0].cols[k + 1]);
-    }
-    if (key_cols.empty()) key_cols.push_back(parts[0].cols[0]);
-    const RowKeyOf key_of(std::move(key_cols), {});
-    RowKeySet seen(parts[0].rows.size() * 2, key_of, key_of);
-    for (uint32_t r : parts[0].rows) seen.insert({parts[0].table, r});
-    uint64_t scanned = parts[0].rows.size();
-    uint64_t deduped = 0;
-    for (size_t i = 1; i < parts.size(); ++i) {
+    for (size_t i = 0; i < parts.size(); ++i) {
       const RowSelection& part = parts[i];
       scanned += part.rows.size();
-      std::vector<uint32_t> keep;
-      for (uint32_t r : part.rows) {
-        if (seen.count({part.table, r}) == 0) keep.push_back(r);
-      }
-      deduped += part.rows.size() - keep.size();
-      // A version's keys are distinct, so its kept rows join the seen set
-      // once they are all chosen.
-      for (uint32_t r : keep) seen.insert({part.table, r});
-      if (shared) {
-        parts[0].rows.insert(parts[0].rows.end(), keep.begin(), keep.end());
-      } else {
-        parts[0].owned->AppendFrom(*part.table, keep);
+      shared = shared && part.table == parts[0].table &&
+               part.cols == parts[0].cols;
+      for (int c : key_cols) {
+        keys[i].cols.push_back(&part.table->column(part.cols[c]));
       }
     }
-    if (!shared) {
-      parts[0].rows.resize(parts[0].owned->num_rows());
-      std::iota(parts[0].rows.begin(), parts[0].rows.end(), 0u);
+    // A later version keeps each row whose key no kept row has. Its keys
+    // are distinct, so its kept rows join the seen set once all chosen.
+    std::vector<std::vector<uint32_t>> kept(parts.size());
+    minidb::KeySet seen(keys, scanned);
+    for (uint32_t r : parts[0].rows) seen.Has(0, r, true);
+    for (size_t i = 1; i < parts.size(); ++i) {
+      for (uint32_t r : parts[i].rows) {
+        if (!seen.Has(i, r, false)) kept[i].push_back(r);
+      }
+      for (uint32_t r : kept[i]) seen.Has(i, r, true);
     }
-    merged = std::move(parts[0]);
+    // Versions selected from one table merge as a row selection; otherwise
+    // (a-table-per-version, delta-based) the first is copied out and the
+    // kept rows of the others are appended to it.
+    if (shared) {
+      merged = std::move(parts[0]);
+      for (size_t i = 1; i < parts.size(); ++i) {
+        merged.rows.insert(merged.rows.end(), kept[i].begin(), kept[i].end());
+      }
+    } else {
+      Table out = std::move(parts[0]).Materialize("merge");
+      for (size_t i = 1; i < parts.size(); ++i) {
+        out.AppendFrom(*parts[i].table, kept[i], &parts[i].cols);
+      }
+      merged = RowSelection::Own(std::move(out));
+    }
     ORPHEUS_COUNTER_ADD("cvd.merge.rows_scanned", scanned);
-    ORPHEUS_COUNTER_ADD("cvd.merge.rows_deduped", deduped);
+    ORPHEUS_COUNTER_ADD("cvd.merge.rows_deduped",
+                        scanned - merged.rows.size());
   }
 
   ORPHEUS_COUNTER_ADD("cvd.checkout.records_materialized", merged.rows.size());
@@ -364,17 +320,29 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   const size_t num_attrs = plan.schema_after.size();
   const int parent_hint = parents.empty() ? -1 : DenseId(parents[0]);
 
-  // The primary key's staging columns, keyed as the record will store them.
+  // The primary key's staging columns, keyed as the record will store them:
+  // a missing column reads NULL, and one of another type is coerced once,
+  // whole (CoerceValue).
   const std::vector<int> pk_attrs = PrimaryKeyAttrs();
-  std::vector<int> pk_cols;
-  std::vector<ValueType> pk_types;
+  std::vector<minidb::Column> coerced;
+  coerced.reserve(pk_attrs.size());
+  std::vector<minidb::KeyColumns> staged_key(1);
+  minidb::KeyColumns& pk = staged_key[0];
   for (int k : pk_attrs) {
-    pk_cols.push_back(col_of_attr[k]);
-    pk_types.push_back(plan.schema_after[k].type);
+    const int c = col_of_attr[k];
+    const ValueType want = plan.schema_after[k].type;
+    const minidb::Column* staged = c < 0 ? nullptr : &table.column(c);
+    if (staged == nullptr || staged->type() != want) {
+      minidb::Column& column = coerced.emplace_back(want);
+      for (uint32_t r = 0; r < table.num_rows(); ++r) {
+        column.AppendValue(staged ? CoerceValue(staged->GetValue(r), want)
+                                  : Value::Null());
+      }
+      staged = &column;
+    }
+    pk.cols.push_back(staged);
   }
-  const RowKeyOf pk_of(std::move(pk_cols), std::move(pk_types));
-  RowKeySet pk_seen(pk_attrs.empty() ? 0 : table.num_rows() * 2, pk_of,
-                    pk_of);
+  minidb::KeySet pk_seen(staged_key, pk_attrs.empty() ? 0 : table.num_rows());
 
   // Shipped keys must also differ from every carried record's key. The key
   // index hashes stored keys at their current type, so a changeset may not
@@ -394,19 +362,15 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   }
   auto carries_key = [&](uint32_t r) {
     ORPHEUS_COUNTER_ADD("cvd.commit.key_index.probes", 1);
-    auto bucket = key_index_.find(pk_of({&table, r}));
+    auto bucket = key_index_.find(pk.Hash(r));
     if (bucket == key_index_.end()) return false;
     for (RecordId rid : bucket->second) {
       if (!std::binary_search(carried.begin(), carried.end(), rid)) continue;
       auto at = backend_->LocateRecord(rid, parent_hint);
-      if (!at) continue;
-      bool equal = true;
-      for (size_t i = 0; i < pk_attrs.size() && equal; ++i) {
-        equal = minidb::KeyEquals(
-            pk_of.Cell({&table, r}, i),
-            at->table->GetValue(at->row, backend_->PayloadColumn(pk_attrs[i])));
+      if (at && pk.Equals(r, StoredKey(*backend_, pk_attrs, *at->table),
+                          at->row)) {
+        return true;
       }
-      if (equal) return true;
     }
     return false;
   };
@@ -460,11 +424,13 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
   for (uint32_t r = 0; r < table.num_rows(); ++r) {
     // Primary-key constraint within the committed version.
     if (!pk_attrs.empty() &&
-        (!pk_seen.insert({&table, r}).second ||
+        (pk_seen.Has(0, r, true) ||
          (probe_carried && carries_key(r)))) {
+      Row key;
+      for (const minidb::Column* col : pk.cols) key.push_back(col->GetValue(r));
       return Status::ConstraintViolation(StrFormat(
           "duplicate primary key in commit of %s: %s", table.name().c_str(),
-          minidb::RenderKey(pk_of.Key({&table, r})).c_str()));
+          minidb::RenderKey(key).c_str()));
     }
     // Modification detection (no cross-version diff rule): a row carrying a
     // rid is kept iff its payload still matches the stored record; anything
@@ -543,18 +509,7 @@ Status Cvd::EnsureKeyIndex() {
     for (RecordId rid : rids) {
       if (seen[rid]) continue;
       seen[rid] = true;
-      auto at = backend_->LocateRecord(rid, v);
-      if (!at) {
-        return Status::Corruption(StrFormat(
-            "record %lld of version %d of CVD %s is not stored",
-            static_cast<long long>(rid), PublicId(v), name_.c_str()));
-      }
-      size_t h = 0;
-      for (int k : pk_attrs) {
-        h = CombineKeyHash(
-            h, at->table->GetValue(at->row, backend_->PayloadColumn(k)));
-      }
-      key_index_[h].push_back(rid);
+      ORPHEUS_RETURN_NOT_OK(IndexRecord(rid, v, pk_attrs));
       ++indexed;
     }
   }
@@ -563,14 +518,16 @@ Status Cvd::EnsureKeyIndex() {
   return Status::OK();
 }
 
-void Cvd::IndexCommitRecord(const CvdCommitRecord& record) {
-  if (!key_index_built_) return;
-  const std::vector<int> pk_attrs = PrimaryKeyAttrs();
-  for (const NewRecord& fresh : record.new_records) {
-    size_t h = 0;
-    for (int k : pk_attrs) h = CombineKeyHash(h, fresh.data[k]);
-    key_index_[h].push_back(fresh.rid);
+Status Cvd::IndexRecord(RecordId rid, int version,
+                        const std::vector<int>& pk) {
+  auto at = backend_->LocateRecord(rid, version);
+  if (!at) {
+    return Status::Corruption(StrFormat(
+        "record %lld of version %d of CVD %s is not stored",
+        static_cast<long long>(rid), PublicId(version), name_.c_str()));
   }
+  key_index_[StoredKey(*backend_, pk, *at->table).Hash(at->row)].push_back(rid);
+  return Status::OK();
 }
 
 Result<VersionId> Cvd::FinishCommit(CvdCommitRecord record,
@@ -874,13 +831,18 @@ Status Cvd::ApplyCommitRecord(const CvdCommitRecord& record) {
                                              dense_parents));
   graph_.AddVersion(dense_parents, record.parent_weights,
                     static_cast<int64_t>(record.rids.size()));
-  IndexCommitRecord(record);
   metadata_.push_back(record.metadata);
   attributes_.insert(attributes_.end(), record.new_attributes.begin(),
                      record.new_attributes.end());
   current_attr_ids_ = record.current_attr_ids;
   next_rid_ = record.next_rid_after;
   logical_clock_ = record.logical_clock_after;
+  if (key_index_built_) {
+    const std::vector<int> pk_attrs = PrimaryKeyAttrs();
+    for (const NewRecord& fresh : record.new_records) {
+      ORPHEUS_RETURN_NOT_OK(IndexRecord(fresh.rid, dense, pk_attrs));
+    }
+  }
   MaybeValidate(*this, "Cvd::ApplyCommitRecord");
   return Status::OK();
 }

@@ -267,8 +267,8 @@ class Cvd {
   std::vector<int> PrimaryKeyAttrs() const;
   /// Build the key index over every stored record, if not built yet.
   Status EnsureKeyIndex();
-  /// Add a stored commit's new records to a built key index.
-  void IndexCommitRecord(const CvdCommitRecord& record);
+  /// Add stored record `rid`, located from `version`, to the key index.
+  Status IndexRecord(RecordId rid, int version, const std::vector<int>& pk);
 
   std::string name_;
   Options options_;
@@ -288,9 +288,9 @@ class Cvd {
   };
   std::unordered_map<std::string, StagingInfo> staging_;
   CommitObserver commit_observer_;
-  // Primary-key index over every stored record: typed-key hash -> rids
-  // with that hash (candidates; a probe verifies each with
-  // minidb::KeyEquals). Built on the first commit that carries records,
+  // Primary-key index over every stored record: minidb::KeyColumns hash
+  // -> rids with that hash (candidates; a probe verifies each with
+  // KeyColumns::Equals). Built on the first commit that carries records,
   // kept in step by ApplyCommitRecord, and dropped when a primary-key
   // attribute is widened (the stored keys change type).
   bool key_index_built_ = false;

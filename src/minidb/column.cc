@@ -1,5 +1,7 @@
 #include "minidb/column.h"
 
+#include <functional>
+
 namespace orpheus::minidb {
 
 void Column::EnsureValidity() {
@@ -204,23 +206,45 @@ void Column::SwapRemove(size_t i) {
   --size_;
 }
 
-bool Column::CellEquals(size_t i, const Column& other, size_t j) const {
+bool Column::KeyEquals(size_t i, const Column& other, size_t j) const {
   const bool null_i = IsNull(i);
   const bool null_j = other.IsNull(j);
   if (null_i || null_j) return null_i && null_j;
-  if (type_ != other.type_) return GetValue(i) == other.GetValue(j);
+  if (type_ != other.type_) return false;
   switch (type_) {
     case ValueType::kInt64:
       return ints_[i] == other.ints_[j];
-    case ValueType::kDouble:
-      return doubles_[i] == other.doubles_[j];
+    case ValueType::kDouble: {
+      const double x = doubles_[i];
+      const double y = other.doubles_[j];
+      return x == y || (std::isnan(x) && std::isnan(y));
+    }
     case ValueType::kString:
       return strings_[i] == other.strings_[j];
-    case ValueType::kIntArray:
-    case ValueType::kNull:
+    default:
       return GetValue(i) == other.GetValue(j);
   }
-  return false;
+}
+
+size_t Column::KeyHash(size_t i) const {
+  if (IsNull(i)) return 0;  // the kNull type seed
+  const size_t seed = static_cast<size_t>(type_) * 0x9E3779B97F4A7C15ULL;
+  switch (type_) {
+    case ValueType::kInt64:
+      return seed ^ std::hash<int64_t>()(ints_[i]);
+    case ValueType::kDouble: {
+      // Every NaN hashes alike, and -0.0 as 0.0: they are equal keys.
+      if (std::isnan(doubles_[i])) return seed ^ 1;
+      const double x = doubles_[i] == 0.0 ? 0.0 : doubles_[i];
+      uint64_t bits;
+      std::memcpy(&bits, &x, sizeof bits);
+      return seed ^ std::hash<uint64_t>()(bits);
+    }
+    case ValueType::kString:
+      return seed ^ std::hash<std::string>()(strings_[i]);
+    default:  // int arrays, which render by content
+      return seed ^ std::hash<std::string>()(GetValue(i).ToString());
+  }
 }
 
 Status Column::Widen(ValueType to) {
@@ -273,6 +297,39 @@ uint64_t Column::StorageBytes() const {
   }
   bytes += valid_.size();
   return bytes;
+}
+
+size_t KeyColumns::Hash(size_t row) const {
+  size_t h = 0;
+  for (const Column* col : cols) h = (h * 0x100000001B3ULL) ^ col->KeyHash(row);
+  return h;
+}
+
+bool KeyColumns::Equals(size_t row, const KeyColumns& other,
+                        size_t other_row) const {
+  for (size_t k = 0; k < cols.size(); ++k) {
+    if (!cols[k]->KeyEquals(row, *other.cols[k], other_row)) return false;
+  }
+  return true;
+}
+
+KeySet::KeySet(const std::vector<KeyColumns>& keys, size_t max_rows)
+    : keys_(keys) {
+  size_t size = 16;  // at most half full, so probes stay short
+  for (; size < 2 * max_rows; size *= 2) --shift_;
+  slots_.resize(size);
+}
+
+bool KeySet::Has(uint32_t table, uint32_t row, bool add) {
+  // Fibonacci hashing spreads the keys' weak low bits over the slots.
+  const size_t mask = slots_.size() - 1;
+  size_t i = (keys_[table].Hash(row) * 0x9E3779B97F4A7C15ULL) >> shift_;
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    const uint64_t in = slots_[i] - 1;
+    if (keys_[in >> 32].Equals(in & 0xFFFFFFFF, keys_[table], row)) return true;
+  }
+  if (add) slots_[i] = (uint64_t{table} << 32 | row) + 1;
+  return false;
 }
 
 }  // namespace orpheus::minidb

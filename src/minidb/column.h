@@ -2,6 +2,7 @@
 #define ORPHEUS_MINIDB_COLUMN_H_
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -119,8 +120,22 @@ class Column {
   /// Boxed accessor (respects nulls).
   Value GetValue(size_t i) const;
 
-  /// GetValue(i) == other.GetValue(j) without boxing either cell.
-  bool CellEquals(size_t i, const Column& other, size_t j) const;
+  /// Key identity — primary keys, the multi-version checkout's precedence
+  /// merge, the commit key index — read straight from storage: NULL equals
+  /// only NULL (a NULL cell's physical slot is never read), NaN equals NaN,
+  /// -0.0 equals 0.0, and cells of different types never match. KeyHash is
+  /// consistent with it. Never compare keys through Value::ToString(): "%g"
+  /// folds distinct doubles and NULL renders as "NULL".
+  bool KeyEquals(size_t i, const Column& other, size_t j) const;
+  size_t KeyHash(size_t i) const;
+
+  /// GetValue(i) == other.GetValue(j) without boxing either cell: KeyEquals,
+  /// except that NaN equals nothing.
+  bool CellEquals(size_t i, const Column& other, size_t j) const {
+    return KeyEquals(i, other, j) &&
+           !(type_ == ValueType::kDouble && !IsNull(i) &&
+             std::isnan(doubles_[i]));
+  }
 
   /// Overwrite cell `i` with `v` (type must match; null allowed).
   void SetValue(size_t i, const Value& v);
@@ -184,6 +199,30 @@ class Column {
   std::vector<ArrayCell> arrays_;
   // Validity bitmap, allocated lazily on the first null; empty => all valid.
   std::vector<uint8_t> valid_;
+};
+
+/// The key of a table's rows: one column per key attribute. Hash and
+/// Equals combine Column::KeyHash and Column::KeyEquals over them.
+struct KeyColumns {
+  std::vector<const Column*> cols;
+
+  size_t Hash(size_t row) const;
+  bool Equals(size_t row, const KeyColumns& other, size_t other_row) const;
+};
+
+/// Rows of the tables keyed by `keys`, addressed (index into `keys`, row),
+/// no two with equal keys; open addressing, sized for `max_rows` rows.
+class KeySet {
+ public:
+  KeySet(const std::vector<KeyColumns>& keys, size_t max_rows);
+
+  /// Whether a row with the row's key is in; if not and `add`, adds it.
+  bool Has(uint32_t table, uint32_t row, bool add);
+
+ private:
+  const std::vector<KeyColumns>& keys_;
+  std::vector<uint64_t> slots_;  // (table << 32 | row) + 1, or 0 if free
+  int shift_ = 60;               // 64 - log2(slots_.size())
 };
 
 }  // namespace orpheus::minidb

@@ -1,7 +1,6 @@
 #include "minidb/csv.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -91,35 +90,6 @@ Result<std::vector<std::string>> ParseRecord(const std::string& text,
   fields.push_back(std::move(cur));
   *pos = i;
   return fields;
-}
-
-// Inference predicates delegate to the same strict parsers used by
-// ParseCell, so a column can never be inferred as a type its cells then
-// fail (or change value) under: an integer overflowing int64 is not "int",
-// it widens to double (or string).
-bool LooksLikeInt(const std::string& s) {
-  return ParseIntStrict(s).has_value();
-}
-
-// Locale-independent double parse via std::from_chars: strtod honors
-// LC_NUMERIC, so under a de_DE locale "1.5" stops parsing at the '.' and a
-// double column silently degrades to string (or worse, "1,5" cells change
-// meaning). from_chars always uses the C locale. A single leading '+' is
-// allowed for strtod compatibility (from_chars rejects it).
-std::optional<double> ParseDoubleStrict(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  const size_t begin = s[0] == '+' ? 1 : 0;
-  if (begin == s.size()) return std::nullopt;
-  double v = 0.0;
-  const char* first = s.data() + begin;
-  const char* last = s.data() + s.size();
-  auto [end, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc() || end != last) return std::nullopt;
-  return v;
-}
-
-bool LooksLikeDouble(const std::string& s) {
-  return ParseDoubleStrict(s).has_value();
 }
 
 Result<Value> ParseCell(const std::string& text, ValueType type) {
@@ -248,8 +218,11 @@ Result<Table> ParseCsv(const std::string& text, const std::string& table_name,
       bool all_double = true;
       for (const auto& rec : records) {
         if (rec[c].empty()) continue;
-        if (!LooksLikeInt(rec[c])) all_int = false;
-        if (!LooksLikeDouble(rec[c])) all_double = false;
+        // The strict parsers of ParseCell, so a column is never inferred as
+        // a type its cells then fail (or change value) under: an integer
+        // overflowing int64 is not "int", it widens to double (or string).
+        if (!ParseIntStrict(rec[c])) all_int = false;
+        if (!ParseDoubleStrict(rec[c])) all_double = false;
       }
       ValueType vt = all_int ? ValueType::kInt64
                      : all_double ? ValueType::kDouble

@@ -1,7 +1,6 @@
 #include "minidb/value.h"
 
 #include <cmath>
-#include <functional>
 
 #include "common/ridset.h"
 #include "common/string_util.h"
@@ -82,41 +81,6 @@ std::string Value::ToString() const {
     }
   }
   return "?";
-}
-
-bool KeyEquals(const Value& a, const Value& b) {
-  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
-    const double x = a.AsDouble();
-    const double y = b.AsDouble();
-    return x == y || (std::isnan(x) && std::isnan(y));
-  }
-  return a == b;
-}
-
-size_t KeyHash(const Value& v) {
-  const size_t type_seed =
-      static_cast<size_t>(v.type()) * 0x9E3779B97F4A7C15ULL;
-  switch (v.type()) {
-    case ValueType::kNull:
-      return type_seed;
-    case ValueType::kInt64:
-      return type_seed ^ std::hash<int64_t>()(v.AsInt());
-    case ValueType::kDouble: {
-      const double x = v.AsDouble();
-      if (std::isnan(x)) return type_seed ^ 1;
-      return type_seed ^ std::hash<double>()(x == 0.0 ? 0.0 : x);
-    }
-    case ValueType::kString:
-      return type_seed ^ std::hash<std::string>()(v.AsString());
-    case ValueType::kIntArray: {
-      size_t h = type_seed;
-      for (int64_t x : v.AsIntArray()) {
-        h = (h ^ std::hash<int64_t>()(x)) * 0x100000001B3ULL;
-      }
-      return h;
-    }
-  }
-  return type_seed;
 }
 
 bool KeyLess(const Value& a, const Value& b) {

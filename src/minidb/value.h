@@ -106,14 +106,9 @@ class Value {
 /// A materialized row: one Value per column.
 using Row = std::vector<Value>;
 
-/// Key identity — primary keys, the multi-version checkout's precedence
-/// merge, reconcile slots. Typed equality that is an equivalence relation:
-/// NULL equals only NULL, NaN equals NaN and -0.0 equals 0.0; different
-/// types never match. KeyHash and KeyLess (a total order; NULL first, NaN
-/// last among doubles) are consistent with it. Never compare keys through
-/// ToString(): "%g" folds distinct doubles and NULL renders as "NULL".
-bool KeyEquals(const Value& a, const Value& b);
-size_t KeyHash(const Value& v);
+/// Key order for the reconcile's ordered key slots: a total order
+/// consistent with Column::KeyEquals (NULL first, NaN last among doubles,
+/// -0.0 equal to 0.0; different types order by type, never compare).
 bool KeyLess(const Value& a, const Value& b);
 
 /// Lexicographic KeyLess over equal-length key tuples (ordered-map keys).

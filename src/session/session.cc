@@ -71,9 +71,8 @@ Status Session::Checkout(const std::vector<core::VersionId>& vids,
 Result<minidb::Table> Session::CheckoutTable(
     const std::vector<core::VersionId>& vids, const std::string& table_name) {
   if (parents_.find(table_name) != parents_.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" already exists in session %d",
-        table_name.c_str(), id_));
+    return Status::InvalidArgument(
+        StrFormat("staging table \"%s\" already exists", table_name.c_str()));
   }
   ORPHEUS_ASSIGN_OR_RETURN(
       minidb::Table table,
@@ -86,9 +85,8 @@ Status Session::CheckoutSelection(
     const std::vector<core::VersionId>& vids, const std::string& table_name,
     const std::function<void(const core::RowSelection&)>& emit) {
   if (parents_.find(table_name) != parents_.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" already exists in session %d",
-        table_name.c_str(), id_));
+    return Status::InvalidArgument(
+        StrFormat("staging table \"%s\" already exists", table_name.c_str()));
   }
   KeptCheckout kept;
   ORPHEUS_RETURN_NOT_OK(manager_->Select(
@@ -106,8 +104,8 @@ Result<CommitOutcome> Session::Commit(const std::string& table_name,
                                       const std::string& author) {
   const minidb::Table* table = staging_.GetTable(table_name);
   if (table == nullptr) {
-    return Status::NotFound(StrFormat(
-        "no staging table \"%s\" in session %d", table_name.c_str(), id_));
+    return Status::NotFound(
+        StrFormat("no staging table \"%s\"", table_name.c_str()));
   }
   return CommitTable(*table, message, author);
 }
@@ -135,8 +133,8 @@ Status Session::CommitChangeset(const std::string& table_name,
   }
   auto it = kept_checkouts_.find(table_name);
   if (it == kept_checkouts_.end()) {
-    return Status::NotFound(StrFormat(
-        "no remote checkout \"%s\" in session %d", table_name.c_str(), id_));
+    return Status::NotFound(
+        StrFormat("no remote checkout \"%s\"", table_name.c_str()));
   }
   const std::vector<RecordId>& checkout = it->second.rids;
   for (size_t i = 0; i < deleted.size(); ++i) {
@@ -192,9 +190,8 @@ Status Session::CommitRows(const std::string& table_name,
                            CommitOutcome* out) {
   auto it = parents_.find(table_name);
   if (it == parents_.end()) {
-    return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" has no checkout provenance in session %d",
-        table_name.c_str(), id_));
+    return Status::NotFound(StrFormat(
+        "no checkout of table \"%s\" in this session", table_name.c_str()));
   }
   PendingDurability pending;
   Status s = manager_->CommitStaged(rows, carried, it->second, message, author,
@@ -223,13 +220,12 @@ void Session::Forget(const std::string& table_name) {
 Status Session::DiscardStaging(const std::string& table_name) {
   if (pending_commits_.find(table_name) != pending_commits_.end()) {
     return Status::InvalidArgument(StrFormat(
-        "staging table \"%s\" has a commit awaiting durability in session "
-        "%d; resolve it before discarding",
-        table_name.c_str(), id_));
+        "staging table \"%s\" has a commit awaiting durability; resolve it "
+        "before discarding", table_name.c_str()));
   }
   if (parents_.find(table_name) == parents_.end()) {
-    return Status::NotFound(StrFormat(
-        "no staging table \"%s\" in session %d", table_name.c_str(), id_));
+    return Status::NotFound(
+        StrFormat("no staging table \"%s\"", table_name.c_str()));
   }
   Forget(table_name);
   return Status::OK();
@@ -264,9 +260,8 @@ SessionManager::SessionManager(std::unique_ptr<core::Cvd> cvd,
 }
 
 std::unique_ptr<Session> SessionManager::Open() {
-  const int id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
   ORPHEUS_COUNTER_ADD("session.opened", 1);
-  return std::unique_ptr<Session>(new Session(this, id, watermark()));
+  return std::unique_ptr<Session>(new Session(this, watermark()));
 }
 
 std::unique_ptr<core::Cvd> SessionManager::Release() {

@@ -173,12 +173,11 @@ class Session {
   Status Refresh();
 
   core::VersionId watermark() const { return watermark_; }
-  int id() const { return id_; }
 
  private:
   friend class SessionManager;
-  Session(SessionManager* manager, int id, core::VersionId watermark)
-      : manager_(manager), id_(id), watermark_(watermark) {}
+  Session(SessionManager* manager, core::VersionId watermark)
+      : manager_(manager), watermark_(watermark) {}
 
   /// Re-wait the parked commit at `pending` (see CommitChangeset).
   Status ResumePending(
@@ -194,7 +193,6 @@ class Session {
   void Forget(const std::string& table_name);
 
   SessionManager* manager_;
-  int id_;
   core::VersionId watermark_;
   minidb::Database staging_;
   // Staging table -> parent versions pinned at checkout.
@@ -339,7 +337,6 @@ class SessionManager {
 
   std::atomic<core::VersionId> watermark_{0};
   std::atomic<bool> failed_{false};
-  std::atomic<int> next_session_id_{1};
 };
 
 }  // namespace orpheus::session

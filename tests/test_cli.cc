@@ -201,7 +201,12 @@ TEST_F(CliTest, OptimizeCommand) {
   }
   std::string out = Ok("optimize Cities -g 2");
   EXPECT_NE(out.find("LyreSplit plan"), std::string::npos);
-  EXPECT_TRUE(Err("optimize Cities -g 0.5").IsInvalidArgument());
+  // The factor parses strictly: finite, the whole token.
+  for (const char* bad : {"0.5", "nan", "inf", "-inf", "3abc"}) {
+    EXPECT_TRUE(Err(std::string("optimize Cities -g ") + bad)
+                    .IsInvalidArgument())
+        << bad;
+  }
 }
 
 TEST_F(CliTest, InitFromMissingCsvNamesThePath) {
@@ -243,27 +248,35 @@ class CliSessionTest : public CliTest,
   /// Make CVD Cities (key city: springfield 30000, shelbyville 20000)
   /// reachable through the session family: init'ed in the processor
   /// in-process, served by a fresh server otherwise. With `dir`, its
-  /// versions are durable in a repository there.
-  void SetUpCities(const std::string& dir = "") {
+  /// versions are durable in a repository there. `names` makes one such
+  /// CVD per name.
+  void SetUpCities(const std::string& dir = "",
+                   const std::vector<std::string>& names = {"Cities"}) {
     SeedStagingTable("cities");
     if (!connected()) {
       if (!dir.empty()) Ok("open " + dir);
-      Ok("init Cities -t cities -k city");
+      for (const std::string& name : names) {
+        Ok("init " + name + " -t cities -k city");
+      }
       return;
     }
-    core::Cvd::Options cvd_options;
-    cvd_options.primary_key = {"city"};
-    auto cvd = core::Cvd::Init(
-        "Cities", *processor_.staging()->GetTable("cities"), cvd_options);
-    ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
     if (!dir.empty()) {
       auto repo = storage::Repository::Open(dir);
       ASSERT_TRUE(repo.ok()) << repo.status().ToString();
       server_repo_ = repo.MoveValueOrDie();
-      ASSERT_TRUE(server_repo_->LogCreate(**cvd).ok());
     }
+    core::Cvd::Options cvd_options;
+    cvd_options.primary_key = {"city"};
     std::vector<std::unique_ptr<core::Cvd>> cvds;
-    cvds.push_back(cvd.MoveValueOrDie());
+    for (const std::string& name : names) {
+      auto cvd = core::Cvd::Init(
+          name, *processor_.staging()->GetTable("cities"), cvd_options);
+      ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+      if (server_repo_ != nullptr) {
+        ASSERT_TRUE(server_repo_->LogCreate(**cvd).ok());
+      }
+      cvds.push_back(cvd.MoveValueOrDie());
+    }
     net::ServerOptions options;
     options.listen = "unix:" + MakeTempDir() + "/sock";
     auto server =
@@ -407,6 +420,27 @@ TEST_P(CliSessionTest, SessionOpenGuards) {
     // In-process again, and this processor holds no CVD named Cities.
     EXPECT_TRUE(Err("session open Cities").IsNotFound());
   }
+}
+
+// Sids are global across CVDs: committing through one CVD's session a
+// table checked out through another CVD's session is NotFound on both
+// backends, and the message names the table, never the other session.
+TEST_P(CliSessionTest, CommitOfATableCheckedOutElsewhereIsNotFound) {
+  SetUpCities("", {"Cities", "Towns"});
+  Ok("session open Cities");
+  Ok("session open Towns");
+  Ok("session checkout 1 -v 1 -t x");
+  Status s = Err("session commit 2 -t x -m stray");
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+  EXPECT_TRUE(s.message().find("table x") != std::string::npos ||
+              s.message().find("table \"x\"") != std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(s.message().find("session 1"), std::string::npos)
+      << s.ToString();
+  // The checkout is intact: its own session commits it.
+  Ok("session commit 1 -t x -m grow");
+  Ok("session close 1");
+  Ok("session close 2");
 }
 
 TEST_P(CliSessionTest, RepositoryLifecycleRefusedWhileSessionManaged) {

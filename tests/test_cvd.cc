@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
+#include "common/random.h"
 #include "common/validation.h"
 #include "core/cvd.h"
 #include "core/validate.h"
@@ -186,6 +188,49 @@ TEST(CvdTypedKeyTest, MultiVersionCheckoutKeepsKeysThatRenderAlike) {
     ASSERT_EQ(shadowed->num_rows(), 1u);
     EXPECT_EQ(shadowed->GetValue(0, 2).AsInt(), 3);
   }
+}
+
+// A staged key column of another type is coerced to the committed type
+// before keys compare: int64 2^53 and 2^53+1 both become the double 2^53.
+TEST(CvdTypedKeyTest, StagedKeysCollideAfterCoercion) {
+  const int64_t big = int64_t{1} << 53;
+  auto cvd = Cvd::Init("K", KeyedTable(ValueType::kDouble, {{Value(0.5), 1}}),
+                       KeyOnK());
+  ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+  auto collide = (*cvd)->CommitTable(
+      KeyedTable(ValueType::kInt64, {{Value(big), 1}, {Value(big + 1), 2}}),
+      {1}, "collide");
+  EXPECT_TRUE(collide.status().IsConstraintViolation())
+      << collide.status().ToString();
+  auto distinct = (*cvd)->CommitTable(
+      KeyedTable(ValueType::kInt64, {{Value(big), 1}, {Value(big + 2), 2}}),
+      {1}, "distinct");
+  EXPECT_TRUE(distinct.ok()) << distinct.status().ToString();
+}
+
+// The same holds against carried records: a shipped int64 7 is stored as
+// "7", the key of a carried record, and a record committed with a carried
+// probe joins the key index the next probe reads.
+TEST(CvdTypedKeyTest, ShippedKeysCoerceBeforeTheCarriedProbe) {
+  auto cvd = Cvd::Init("K",
+                       KeyedTable(ValueType::kString,
+                                  {{Value("7"), 1}, {Value("8"), 2}}),
+                       KeyOnK());
+  ASSERT_TRUE(cvd.ok()) << cvd.status().ToString();
+  const std::vector<RecordId> carried = *(*cvd)->VersionRecords(1);
+  auto dup = (*cvd)->CommitTable(
+      KeyedTable(ValueType::kInt64, {{Value(int64_t{7}), 3}}), {1}, "dup", "",
+      0, carried);
+  EXPECT_TRUE(dup.status().IsConstraintViolation()) << dup.status().ToString();
+  auto fresh = (*cvd)->CommitTable(
+      KeyedTable(ValueType::kInt64, {{Value(int64_t{9}), 3}}), {1}, "fresh",
+      "", 0, carried);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto again = (*cvd)->CommitTable(
+      KeyedTable(ValueType::kInt64, {{Value(int64_t{9}), 4}}), {*fresh},
+      "again", "", 0, *(*cvd)->VersionRecords(*fresh));
+  EXPECT_TRUE(again.status().IsConstraintViolation())
+      << again.status().ToString();
 }
 
 TEST_F(CvdTest, CommitWithoutCheckoutRejected) {
@@ -377,6 +422,183 @@ TEST_P(CvdAllModelsTest, KeepsStoredRidFromAnotherVersion) {
   auto restored = (*cvd)->Materialize({*v3}, "check");
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->num_rows(), 3u);
+}
+
+// The boxed precedence merge that Cvd::Select's key kernel replaced, kept as
+// the oracle: each version materialized alone, in precedence order, and a
+// row kept unless a kept row has an equal key. Keys compare typed: NaN
+// equals NaN, -0.0 equals 0.0, NULL equals only NULL.
+bool OracleKeyEquals(const Value& a, const Value& b) {
+  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return x == y || (std::isnan(x) && std::isnan(y));
+  }
+  return a == b;
+}
+
+bool OracleSameKey(const Row& a, const Row& b) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!OracleKeyEquals(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+Row KeyAt(const Table& t, uint32_t r, const std::vector<int>& cols) {
+  Row key;
+  for (int c : cols) key.push_back(t.GetValue(r, c));
+  return key;
+}
+
+bool OracleHasDuplicateKey(const Table& t, const std::vector<int>& cols) {
+  for (uint32_t a = 0; a < t.num_rows(); ++a) {
+    for (uint32_t b = 0; b < a; ++b) {
+      if (OracleSameKey(KeyAt(t, a, cols), KeyAt(t, b, cols))) return true;
+    }
+  }
+  return false;
+}
+
+// The rids of the oracle's merge of `vids`. `key_cols` index materialized
+// tables ([_rid, data...]); without a primary key the rid is the key.
+std::vector<int64_t> OracleMergeRids(const Cvd& cvd,
+                                     const std::vector<VersionId>& vids,
+                                     const std::vector<int>& key_cols) {
+  std::vector<Row> kept_keys;
+  std::vector<int64_t> rids;
+  for (VersionId v : vids) {
+    Table t = cvd.Materialize({v}, "v").MoveValueOrDie();
+    std::vector<Row> mine;
+    for (uint32_t r = 0; r < t.num_rows(); ++r) {
+      const Row key = KeyAt(t, r, key_cols);
+      if (std::any_of(kept_keys.begin(), kept_keys.end(),
+                      [&](const Row& k) { return OracleSameKey(k, key); })) {
+        continue;
+      }
+      rids.push_back(t.GetValue(r, 0).AsInt());
+      mine.push_back(key);
+    }
+    kept_keys.insert(kept_keys.end(), mine.begin(), mine.end());
+  }
+  return rids;
+}
+
+struct MergeScenario {
+  const char* name;
+  std::vector<minidb::ColumnDef> keys;     // the key attributes' columns
+  std::vector<std::vector<Value>> pools;   // candidate cells per key column
+  bool primary_key;                        // else rid identity
+};
+
+std::vector<MergeScenario> MergeScenarios() {
+  const double nan = std::nan("");
+  const std::vector<Value> doubles = {
+      Value(0.0),       Value(-0.0),      Value(1.0),    Value(nan),
+      Value(0.1234561), Value(0.1234562), Value::Null(), Value(2.0)};
+  return {
+      {"double key", {{"k", ValueType::kDouble}}, {doubles}, true},
+      {"int64+string key",
+       {{"k1", ValueType::kInt64}, {"k2", ValueType::kString}},
+       {{Value(int64_t{1}), Value(int64_t{2}), Value::Null()},
+        {Value("a"), Value("NULL"), Value::Null(), Value("7")}},
+       true},
+      {"no key", {{"k", ValueType::kDouble}}, {doubles}, false},
+  };
+}
+
+// Seeded histories on every data model: the commit's key check refuses a
+// table iff the oracle finds a duplicate key in it, and every two- and
+// three-version checkout keeps exactly the oracle's records, in its order.
+TEST_P(CvdAllModelsTest, PrecedenceMergeMatchesTheBoxedOracle) {
+  for (const MergeScenario& sc : MergeScenarios()) {
+    SCOPED_TRACE(sc.name);
+    std::vector<minidb::ColumnDef> defs = sc.keys;
+    defs.push_back({"v", ValueType::kInt64});
+    Cvd::Options opt;
+    opt.model = GetParam();
+    std::vector<int> key_cols;  // in materialized tables
+    for (size_t k = 0; k < sc.keys.size(); ++k) {
+      if (sc.primary_key) opt.primary_key.push_back(sc.keys[k].name);
+      key_cols.push_back(static_cast<int>(k) + 1);
+    }
+    if (!sc.primary_key) key_cols = {0};
+    Xorshift rng(static_cast<uint64_t>(GetParam()) * 31 + sc.keys.size());
+    auto add_row = [&](Table* t) {
+      Row row;
+      if (t->schema().num_columns() > defs.size()) row.push_back(Value::Null());
+      for (const auto& pool : sc.pools) {
+        row.push_back(pool[rng.Uniform(pool.size())]);
+      }
+      row.push_back(Value(static_cast<int64_t>(rng.Uniform(100))));
+      t->AppendRowUnchecked(row);
+    };
+
+    Table init("t", Schema(defs));
+    std::vector<int> init_keys;
+    for (size_t k = 0; k < sc.keys.size(); ++k) {
+      init_keys.push_back(static_cast<int>(k));
+    }
+    for (int i = 0; i < 6; ++i) {
+      add_row(&init);
+      if (sc.primary_key && OracleHasDuplicateKey(init, init_keys)) {
+        init.DeleteRows({static_cast<uint32_t>(init.num_rows() - 1)});
+      }
+    }
+    auto made = Cvd::Init("M", init, opt);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    Cvd& cvd = **made;
+
+    int refused = 0;
+    for (int step = 0; step < 12; ++step) {
+      const VersionId parent =
+          1 + static_cast<VersionId>(rng.Uniform(cvd.num_versions()));
+      Table t = cvd.Materialize({parent}, "t").MoveValueOrDie();
+      std::vector<uint32_t> drop;
+      for (uint32_t r = 0; r < t.num_rows(); ++r) {
+        if (rng.Bernoulli(0.2)) {
+          drop.push_back(r);
+        } else if (rng.Bernoulli(0.3)) {
+          Row row = t.GetRow(r);
+          row.back() = Value(static_cast<int64_t>(rng.Uniform(100)));
+          t.SetRow(r, row);
+        }
+      }
+      t.DeleteRows(drop);
+      for (uint64_t n = rng.Uniform(3); n > 0; --n) add_row(&t);
+      const bool dup = sc.primary_key && OracleHasDuplicateKey(t, key_cols);
+      auto vid = cvd.CommitTable(t, {parent}, "edit");
+      if (dup) {
+        EXPECT_TRUE(vid.status().IsConstraintViolation())
+            << vid.status().ToString();
+        ++refused;
+      } else {
+        EXPECT_TRUE(vid.ok()) << vid.status().ToString();
+      }
+    }
+    if (sc.primary_key) EXPECT_GT(refused, 0);
+
+    auto check = [&](const std::vector<VersionId>& vids) {
+      auto merged = cvd.Materialize(vids, "m");
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      std::vector<int64_t> rids;
+      for (uint32_t r = 0; r < merged->num_rows(); ++r) {
+        rids.push_back(merged->GetValue(r, 0).AsInt());
+      }
+      EXPECT_EQ(rids, OracleMergeRids(cvd, vids, key_cols));
+    };
+    const VersionId n = cvd.num_versions();
+    for (VersionId a = 1; a <= n; ++a) {
+      for (VersionId b = 1; b <= n; ++b) {
+        if (a != b) check({a, b});
+      }
+    }
+    for (int i = 0; i < 20; ++i) {
+      std::vector<uint64_t> pick = rng.SampleWithoutReplacement(n, 3);
+      check({static_cast<VersionId>(pick[0]) + 1,
+             static_cast<VersionId>(pick[1]) + 1,
+             static_cast<VersionId>(pick[2]) + 1});
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "minidb/database.h"
@@ -92,6 +94,164 @@ TEST(ColumnTest, StorageBytesAccounting) {
   Column arr(ValueType::kIntArray);
   arr.AppendIntArray({1, 2, 3});
   EXPECT_EQ(arr.StorageBytes(), 3 * 8 + 16u);
+}
+
+// The boxed key identity that Column::KeyEquals/KeyHash replaced, kept as
+// their reference.
+bool RefKeyEquals(const Value& a, const Value& b) {
+  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return x == y || (std::isnan(x) && std::isnan(y));
+  }
+  return a == b;
+}
+
+size_t RefKeyHash(const Value& v) {
+  const size_t type_seed =
+      static_cast<size_t>(v.type()) * 0x9E3779B97F4A7C15ULL;
+  switch (v.type()) {
+    case ValueType::kNull:
+      return type_seed;
+    case ValueType::kInt64:
+      return type_seed ^ std::hash<int64_t>()(v.AsInt());
+    case ValueType::kDouble: {
+      const double x = v.AsDouble();
+      if (std::isnan(x)) return type_seed ^ 1;
+      return type_seed ^ std::hash<double>()(x == 0.0 ? 0.0 : x);
+    }
+    case ValueType::kString:
+      return type_seed ^ std::hash<std::string>()(v.AsString());
+    case ValueType::kIntArray: {
+      size_t h = type_seed;
+      for (int64_t x : v.AsIntArray()) {
+        h = (h ^ std::hash<int64_t>()(x)) * 0x100000001B3ULL;
+      }
+      return h;
+    }
+  }
+  return type_seed;
+}
+
+// One column per type, each with cells that are easy to confuse: NULL and
+// "NULL", NaN, -0.0 and 0.0, int 1 and double 1.0, and NULL cells whose
+// physical slot still holds a value (SetNull keeps it).
+std::vector<Column> KeyCells() {
+  const double nan = std::nan("");
+  std::vector<Column> cols;
+  cols.reserve(5);  // the references below stay valid
+  Column& ints = cols.emplace_back(ValueType::kInt64);
+  for (int64_t v : {1, 0, 7, 5, 7, 1, -1}) ints.AppendInt(v);
+  ints.SetNull(3);  // stale 5
+  ints.SetNull(4);  // stale 7
+  ints.AppendNull();
+  Column& doubles = cols.emplace_back(ValueType::kDouble);
+  for (double v : {1.0, 0.0, -0.0, nan, -nan, 0.1234561, 0.1234562, 1.0, nan,
+                   -0.0, 7.0}) {
+    doubles.AppendDouble(v);
+  }
+  doubles.SetNull(7);  // stale 1.0
+  doubles.SetNull(8);  // stale NaN
+  doubles.SetNull(9);  // stale -0.0
+  Column& strings = cols.emplace_back(ValueType::kString);
+  for (const char* v : {"NULL", "", "7", "1", "NULL", "x", "1"}) {
+    strings.AppendString(v);
+  }
+  strings.SetNull(4);  // stale "NULL"
+  strings.SetNull(5);  // stale "x"
+  Column& arrays = cols.emplace_back(ValueType::kIntArray);
+  std::vector<int64_t> ten(10);
+  std::iota(ten.begin(), ten.end(), 0);
+  arrays.AppendIntArray({1, 2});
+  arrays.AppendIntArray(ten);  // compressed
+  arrays.AppendIntArray(ten);  // compressed, another set
+  arrays.AppendIntArray(ten);
+  arrays.MutableIntArray(3);  // the same content, plain
+  arrays.AppendIntArray({});
+  arrays.AppendIntArray({1, 2});
+  arrays.SetNull(5);  // stale {1, 2}
+  EXPECT_NE(arrays.GetRidSet(1), nullptr);
+  EXPECT_EQ(arrays.GetRidSet(3), nullptr);
+  Column& nulls = cols.emplace_back(ValueType::kNull);
+  nulls.AppendNull();
+  return cols;
+}
+
+TEST(ColumnKeyTest, KeyEqualsAndKeyHashMatchTheBoxedReference) {
+  const std::vector<Column> cols = KeyCells();
+  for (const Column& a : cols) {
+    for (size_t i = 0; i < a.size(); ++i) {
+      const Value va = a.GetValue(i);
+      for (const Column& b : cols) {
+        for (size_t j = 0; j < b.size(); ++j) {
+          const Value vb = b.GetValue(j);
+          SCOPED_TRACE(std::string(ValueTypeName(a.type())) + "[" +
+                       std::to_string(i) + "] vs " + ValueTypeName(b.type()) +
+                       "[" + std::to_string(j) + "]");
+          EXPECT_EQ(a.KeyEquals(i, b, j), RefKeyEquals(va, vb));
+          EXPECT_EQ(a.CellEquals(i, b, j), va == vb);
+          // Both hashes split the cells into the same classes.
+          EXPECT_EQ(a.KeyHash(i) == b.KeyHash(j),
+                    RefKeyHash(va) == RefKeyHash(vb));
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnKeyTest, SpecialCells) {
+  const std::vector<Column> cols = KeyCells();
+  const Column& ints = cols[0];
+  const Column& doubles = cols[1];
+  const Column& strings = cols[2];
+  EXPECT_TRUE(doubles.KeyEquals(1, doubles, 2));    // 0.0 = -0.0
+  EXPECT_TRUE(doubles.CellEquals(1, doubles, 2));
+  EXPECT_TRUE(doubles.KeyEquals(3, doubles, 4));    // NaN = NaN
+  EXPECT_FALSE(doubles.CellEquals(3, doubles, 4));  // but not as a cell
+  EXPECT_FALSE(doubles.KeyEquals(5, doubles, 6));   // "%g" alike, distinct
+  EXPECT_FALSE(ints.KeyEquals(0, doubles, 0));      // int 1 vs double 1.0
+  EXPECT_FALSE(ints.KeyEquals(2, strings, 2));      // int 7 vs "7"
+  EXPECT_FALSE(strings.KeyEquals(0, strings, 4));   // "NULL" vs NULL
+  EXPECT_TRUE(ints.KeyEquals(3, ints, 4));          // NULL = NULL, stale 5/7
+  EXPECT_TRUE(ints.KeyEquals(3, strings, 4));       // of any type
+  EXPECT_FALSE(ints.KeyEquals(4, ints, 2));         // NULL (stale 7) vs 7
+  EXPECT_EQ(ints.KeyHash(3), ints.KeyHash(4));
+  EXPECT_EQ(doubles.KeyHash(1), doubles.KeyHash(2));
+  EXPECT_EQ(doubles.KeyHash(3), doubles.KeyHash(4));
+}
+
+TEST(ColumnKeyTest, KeyColumnsCombineAttributes) {
+  const std::vector<Column> cols = KeyCells();
+  const Column& ints = cols[0];
+  const Column& strings = cols[2];
+  Column nulls(ValueType::kString);
+  for (size_t i = 0; i < strings.size(); ++i) nulls.AppendNull();
+  // (int, string) keys; the second attribute NULL throughout on the right.
+  const KeyColumns both{{&ints, &strings}};
+  const KeyColumns no_string{{&ints, &nulls}};
+  EXPECT_TRUE(both.Equals(0, both, 0));
+  EXPECT_FALSE(both.Equals(0, both, 6));       // (1,"NULL") vs (-1,"1")
+  EXPECT_FALSE(both.Equals(0, both, 5));       // (1,"NULL") vs (1,NULL)
+  EXPECT_FALSE(both.Equals(0, no_string, 0));  // (1,"NULL") vs (1,NULL)
+  EXPECT_TRUE(both.Equals(5, no_string, 0));   // (1,NULL) vs (1,NULL)
+  EXPECT_TRUE(both.Equals(4, no_string, 3));   // NULLs over stale slots
+  EXPECT_TRUE(no_string.Equals(3, both, 4));
+  EXPECT_EQ(both.Hash(5), no_string.Hash(0));
+  EXPECT_EQ(both.Hash(4), no_string.Hash(3));
+}
+
+TEST(ColumnKeyTest, KeySetKeepsOneRowPerKey) {
+  const std::vector<Column> cols = KeyCells();
+  const std::vector<KeyColumns> keys = {KeyColumns{{&cols[1]}}};
+  KeySet set(keys, cols[1].size());
+  // 1.0, 0.0, -0.0, NaN, -NaN, 0.1234561, 0.1234562, NULL, NULL, NULL, 7.0
+  std::vector<bool> added;
+  for (uint32_t r = 0; r < cols[1].size(); ++r) {
+    added.push_back(!set.Has(0, r, true));
+  }
+  EXPECT_EQ(added, (std::vector<bool>{true, true, false, true, false, true,
+                                      true, true, false, false, true}));
+  EXPECT_TRUE(set.Has(0, 2, false));
 }
 
 TEST(TableTest, InsertRowValidates) {
