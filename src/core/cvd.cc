@@ -1,6 +1,8 @@
 #include "core/cvd.h"
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <unordered_set>
 
 #include "common/metrics.h"
@@ -220,12 +222,15 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
     return Status::AlreadyExists(
         StrFormat("staging table %s already exists", table_name.c_str()));
   }
-  auto merged = Materialize(vids, table_name);
-  if (!merged.ok()) return merged.status();
-  auto adopted = staging->AdoptTable(merged.MoveValueOrDie());
-  if (!adopted.ok()) return adopted.status();
+  ORPHEUS_TRACE_SPAN("cvd.checkout");
+  ORPHEUS_ASSIGN_OR_RETURN(RowSelection sel, Select(vids));
+  StagingInfo info{vids, 0, sel.SortedRids(), 0};
+  Table table = std::move(sel).Materialize(table_name);
+  info.checkout_id = table.StampCheckout();
+  ORPHEUS_RETURN_NOT_OK(staging->AdoptTable(std::move(table)).status());
   logical_clock_ += 1;
-  staging_[table_name] = StagingInfo{vids, logical_clock_};
+  info.checkout_time = logical_clock_;
+  staging_[table_name] = std::move(info);
   MaybeValidate(*this, "Cvd::Checkout");
   return Status::OK();
 }
@@ -377,8 +382,9 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
 
   // Stored records compare against staged rows in place. A column whose
   // staged and stored cells already have the planned type compares typed
-  // without boxing; one under a coercion or a planned widening compares
-  // as if the widening had already converted the stored value.
+  // without boxing, by key identity (so NaN equals NaN); one under a
+  // coercion or a planned widening compares as if the widening had
+  // already converted the stored value.
   const size_t stored_width = backend_->data_schema().num_columns();
   std::vector<bool> in_place(num_attrs, false);
   for (size_t k = 0; k < stored_width; ++k) {
@@ -401,7 +407,7 @@ Result<VersionId> Cvd::CommitTable(const Table& table,
       if (c < 0) {
         if (!stored.IsNull(at.row)) return false;
       } else if (in_place[k]) {
-        if (!table.column(c).CellEquals(r, stored, at.row)) return false;
+        if (!table.column(c).KeyEquals(r, stored, at.row)) return false;
       } else {
         const ValueType want = plan.schema_after[k].type;
         if (CoerceValue(table.GetValue(r, c), want) !=
@@ -596,13 +602,23 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
         StrFormat("table %s was not checked out from CVD %s",
                   table_name.c_str(), name_.c_str()));
   }
-  Table* table = staging->GetTable(table_name);
+  const Table* table = staging->GetTable(table_name);
   if (table == nullptr) {
     return Status::NotFound(
         StrFormat("staging table %s missing", table_name.c_str()));
   }
-  auto vid = CommitTable(*table, it->second.parents, message, author,
-                         it->second.checkout_time);
+  const StagingInfo& info = it->second;
+  std::optional<Table> changed;
+  std::vector<RecordId> carried;
+  if (info.checkout_id != 0 && table->checkout_id() == info.checkout_id) {
+    const Table::Edits edits = table->GetEdits();
+    changed = table->CopyRows(edits.changed, table_name);
+    std::set_difference(info.rids.begin(), info.rids.end(),
+                        edits.dropped.begin(), edits.dropped.end(),
+                        std::back_inserter(carried));
+  }
+  auto vid = CommitTable(changed ? *changed : *table, info.parents, message,
+                         author, info.checkout_time, carried);
   if (!vid.ok()) return vid.status();
   // Cleanup: the record manager removes the table from the staging area.
   ORPHEUS_RETURN_NOT_OK(staging->DropTable(table_name));

@@ -115,9 +115,9 @@ class Cvd {
   }
 
   /// `checkout [cvd] -v vid... -t table`: materialize one or more versions
-  /// into `staging` as `table_name`. With multiple versions, records are
-  /// merged in precedence order: a record whose primary key was already
-  /// added by an earlier version is omitted (Sec. 3.3.1).
+  /// into `staging` as `table_name`, stamped. With multiple versions,
+  /// records are merged in precedence order: a record whose primary key was
+  /// already added by an earlier version is omitted (Sec. 3.3.1).
   Status Checkout(const std::vector<VersionId>& vids,
                   const std::string& table_name, minidb::Database* staging);
 
@@ -134,10 +134,10 @@ class Cvd {
   Result<minidb::Table> Materialize(const std::vector<VersionId>& vids,
                                     const std::string& table_name) const;
 
-  /// `commit -t table -m msg`: diff the staging table against its parent
-  /// versions, add any new/modified records to the CVD, register the new
-  /// version, and drop the staging table. The staging table must have been
-  /// produced by Checkout (OrpheusDB tracks its parent versions).
+  /// `commit -t table -m msg`: commit the staging table's recorded edits
+  /// (any other table of that name whole) against its parent versions, and
+  /// drop it. The table must have been produced by Checkout (OrpheusDB
+  /// tracks its parent versions).
   Result<VersionId> Commit(const std::string& table_name,
                            minidb::Database* staging,
                            const std::string& message,
@@ -281,10 +281,12 @@ class Cvd {
   RecordId next_rid_ = 0;
   LogicalTime logical_clock_ = 0;
   // Provenance manager state: staging table -> parent versions + checkout
-  // timestamp (Sec. 3.2).
+  // timestamp (Sec. 3.2), sorted rids and the staged table's checkout id.
   struct StagingInfo {
     std::vector<VersionId> parents;
     LogicalTime checkout_time = 0;
+    std::vector<RecordId> rids;
+    uint64_t checkout_id = 0;
   };
   std::unordered_map<std::string, StagingInfo> staging_;
   CommitObserver commit_observer_;

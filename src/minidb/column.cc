@@ -1,5 +1,6 @@
 #include "minidb/column.h"
 
+#include <cmath>
 #include <functional>
 
 namespace orpheus::minidb {
@@ -320,16 +321,19 @@ KeySet::KeySet(const std::vector<KeyColumns>& keys, size_t max_rows)
   slots_.resize(size);
 }
 
-bool KeySet::Has(uint32_t table, uint32_t row, bool add) {
+std::optional<std::pair<uint32_t, uint32_t>> KeySet::Find(uint32_t table,
+                                                          uint32_t row,
+                                                          bool add) {
   // Fibonacci hashing spreads the keys' weak low bits over the slots.
   const size_t mask = slots_.size() - 1;
   size_t i = (keys_[table].Hash(row) * 0x9E3779B97F4A7C15ULL) >> shift_;
   for (; slots_[i] != 0; i = (i + 1) & mask) {
-    const uint64_t in = slots_[i] - 1;
-    if (keys_[in >> 32].Equals(in & 0xFFFFFFFF, keys_[table], row)) return true;
+    const auto in = std::make_pair(static_cast<uint32_t>((slots_[i] - 1) >> 32),
+                                   static_cast<uint32_t>(slots_[i] - 1));
+    if (keys_[in.first].Equals(in.second, keys_[table], row)) return in;
   }
   if (add) slots_[i] = (uint64_t{table} << 32 | row) + 1;
-  return false;
+  return std::nullopt;
 }
 
 }  // namespace orpheus::minidb

@@ -2,11 +2,12 @@
 #define ORPHEUS_MINIDB_COLUMN_H_
 
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ridset.h"
@@ -121,21 +122,14 @@ class Column {
   Value GetValue(size_t i) const;
 
   /// Key identity — primary keys, the multi-version checkout's precedence
-  /// merge, the commit key index — read straight from storage: NULL equals
+  /// merge, the commit key index, and whether a committed row still equals
+  /// its stored record — read straight from storage: NULL equals
   /// only NULL (a NULL cell's physical slot is never read), NaN equals NaN,
   /// -0.0 equals 0.0, and cells of different types never match. KeyHash is
   /// consistent with it. Never compare keys through Value::ToString(): "%g"
   /// folds distinct doubles and NULL renders as "NULL".
   bool KeyEquals(size_t i, const Column& other, size_t j) const;
   size_t KeyHash(size_t i) const;
-
-  /// GetValue(i) == other.GetValue(j) without boxing either cell: KeyEquals,
-  /// except that NaN equals nothing.
-  bool CellEquals(size_t i, const Column& other, size_t j) const {
-    return KeyEquals(i, other, j) &&
-           !(type_ == ValueType::kDouble && !IsNull(i) &&
-             std::isnan(doubles_[i]));
-  }
 
   /// Overwrite cell `i` with `v` (type must match; null allowed).
   void SetValue(size_t i, const Value& v);
@@ -216,8 +210,14 @@ class KeySet {
  public:
   KeySet(const std::vector<KeyColumns>& keys, size_t max_rows);
 
+  /// The (table, row) in the set with the row's key, if any; if there is
+  /// none and `add`, adds the row.
+  std::optional<std::pair<uint32_t, uint32_t>> Find(uint32_t table,
+                                                    uint32_t row, bool add);
   /// Whether a row with the row's key is in; if not and `add`, adds it.
-  bool Has(uint32_t table, uint32_t row, bool add);
+  bool Has(uint32_t table, uint32_t row, bool add) {
+    return Find(table, row, add).has_value();
+  }
 
  private:
   const std::vector<KeyColumns>& keys_;

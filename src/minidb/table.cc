@@ -1,6 +1,7 @@
 #include "minidb/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
 
@@ -241,6 +242,13 @@ void Table::SortByIntColumn(int col) {
             [&keys](uint32_t a, uint32_t b) { return keys[a] < keys[b]; });
   Table sorted = CopyRows(order, name_);
   columns_ = std::move(sorted.columns_);
+  if (checkout_id_ != 0) {
+    std::vector<uint64_t> clean((num_rows_ + 63) / 64, 0);
+    for (size_t r = 0; r < num_rows_; ++r) {
+      if (IsClean(order[r])) clean[r / 64] |= uint64_t{1} << (r % 64);
+    }
+    clean_ = std::move(clean);
+  }
   for (auto& [icol, idx] : indexes_) {
     (void)idx;
     // Re-clustering permutes rows but keeps keys unique.
@@ -257,6 +265,7 @@ Status Table::AddColumn(ColumnDef def) {
   for (size_t r = 0; r < num_rows_; ++r) col.AppendNull();
   schema_.AddColumn(std::move(def));
   columns_.push_back(std::move(col));
+  if (checkout_id_ != 0) DropAllClean();
   return Status::OK();
 }
 
@@ -269,6 +278,13 @@ void Table::DeleteRows(const std::vector<uint32_t>& rows) {
   for (auto it = rows.rbegin(); it != rows.rend(); ++it) {
     uint32_t r = *it;
     uint32_t last = static_cast<uint32_t>(num_rows_ - 1);
+    if (checkout_id_ != 0) {  // `last` moves down, its bit with it
+      if (IsClean(r)) DropClean(r);
+      if (IsClean(last)) {
+        clean_[r / 64] |= uint64_t{1} << (r % 64);
+        clean_[last / 64] &= ~(uint64_t{1} << (last % 64));
+      }
+    }
     for (auto& [col, idx] : indexes_) {
       idx.erase(columns_[col].GetInt(r));
       if (r != last) {
@@ -289,12 +305,15 @@ Status Table::WidenColumn(int col, ValueType to) {
   if (indexes_.count(col)) {
     return Status::NotSupported("cannot widen an indexed column");
   }
+  if (columns_[col].type() == to) return Status::OK();
+  if (checkout_id_ != 0) DropAllClean();  // while `_rid` is still int64
   ORPHEUS_RETURN_NOT_OK(columns_[col].Widen(to));
   schema_.SetColumnType(static_cast<size_t>(col), to);
   return Status::OK();
 }
 
 void Table::SetRow(uint32_t row, const Row& vals) {
+  if (checkout_id_ != 0 && IsClean(row)) DropClean(row);
   for (size_t c = 0; c < columns_.size(); ++c) {
     // Maintain any unique index whose key cell changes.
     auto it = indexes_.find(static_cast<int>(c));
@@ -331,6 +350,58 @@ void Table::RewriteRowAppendToArray(uint32_t row, int array_col,
   }
   // Write the full tuple back.
   SetRow(row, tuple);
+}
+
+uint64_t Table::StampCheckout() {
+  static std::atomic<uint64_t> next_checkout_id{1};
+  checkout_id_ = next_checkout_id.fetch_add(1, std::memory_order_relaxed);
+  clean_.assign((num_rows_ + 63) / 64, ~uint64_t{0});
+  if (num_rows_ % 64 != 0) clean_.back() >>= 64 - num_rows_ % 64;
+  dropped_.clear();
+  return checkout_id_;
+}
+
+Table::Edits Table::GetEdits() const {
+  Edits out;
+  for (uint32_t r = 0; r < num_rows_; ++r) {
+    if (!IsClean(r)) out.changed.push_back(r);
+  }
+  out.dropped = dropped_;
+  std::sort(out.dropped.begin(), out.dropped.end());
+  // A changed row may repeat a clean row's rid (one not dropped); then a
+  // commit would both carry the record and match that row against it.
+  std::vector<int64_t> repeated;
+  for (uint32_t r : out.changed) {
+    if (out.changed.size() < num_rows_ && !columns_[0].IsNull(r) &&
+        !std::binary_search(out.dropped.begin(), out.dropped.end(),
+                            columns_[0].GetInt(r))) {
+      repeated.push_back(columns_[0].GetInt(r));
+    }
+  }
+  if (repeated.empty()) return out;
+  std::sort(repeated.begin(), repeated.end());
+  for (uint32_t r = 0; r < num_rows_; ++r) {
+    if (IsClean(r) && std::binary_search(repeated.begin(), repeated.end(),
+                                         columns_[0].GetInt(r))) {
+      out.changed.push_back(r);
+      out.dropped.push_back(columns_[0].GetInt(r));
+    }
+  }
+  std::sort(out.changed.begin(), out.changed.end());
+  std::sort(out.dropped.begin(), out.dropped.end());
+  return out;
+}
+
+void Table::DropClean(uint32_t row) {
+  dropped_.push_back(columns_[0].GetInt(row));
+  clean_[row / 64] &= ~(uint64_t{1} << (row % 64));
+}
+
+void Table::DropAllClean() {
+  for (uint32_t r = 0; r < num_rows_; ++r) {
+    if (IsClean(r)) dropped_.push_back(columns_[0].GetInt(r));
+  }
+  clean_.clear();
 }
 
 void Table::ValidateIndexes(ValidationReport* report) const {

@@ -24,6 +24,10 @@ namespace orpheus::minidb {
 /// operations the paper's plans rely on: sequential scans with arbitrary
 /// predicates, array-containment filters, unique-index point lookups, and
 /// physical re-clustering on a column (Sec. 5.5.5).
+///
+/// A checkout's table is stamped (StampCheckout) and records its own edits
+/// through every mutator (GetEdits). Copies (CopyRows, Clone, ProjectRows,
+/// FromColumns) are unstamped, and pay one branch per mutator call for it.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -140,6 +144,23 @@ class Table {
   /// makes combined-table/split-by-vlist commits expensive (Fig. 4.1b).
   void RewriteRowAppendToArray(uint32_t row, int array_col, int64_t value);
 
+  /// Stamp the table, whose column 0 is a `_rid` in every row, as a fresh
+  /// checkout with every row unchanged; returns the checkout id (unique in
+  /// the process, never 0). O(rows / 8).
+  uint64_t StampCheckout();
+  /// The stamp's checkout id, or 0.
+  uint64_t checkout_id() const { return checkout_id_; }
+
+  /// A stamped table's edits. A row is changed unless it is an untouched
+  /// checkout row: SetRow changes it even to the same values, a schema
+  /// change (AddColumn, WidenColumn) every row, and a changed row that
+  /// repeats an unchanged row's rid that row too.
+  struct Edits {
+    std::vector<uint32_t> changed;  // ascending
+    std::vector<int64_t> dropped;   // checkout rids no unchanged row holds
+  };
+  Edits GetEdits() const;
+
   /// Check every unique index against the column data: the index holds
   /// exactly one entry per row, each row's key resolves back to that row,
   /// and no phantom entries remain. Appends violations to `report`.
@@ -160,12 +181,23 @@ class Table {
 
   void MaintainIndexesOnAppend(uint32_t new_row);
 
+  bool IsClean(size_t row) const {
+    return row / 64 < clean_.size() && (clean_[row / 64] >> (row % 64) & 1);
+  }
+  void DropClean(uint32_t row);  // drop the clean row's rid, clear its bit
+  void DropAllClean();
+
   std::string name_;
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
   // col -> (key -> row id)
   std::map<int, std::unordered_map<int64_t, uint32_t>> indexes_;
+  // The stamp: a bit per unchanged ("clean") row, 0 past num_rows_, so
+  // appends need no upkeep; and the rids of rows no longer clean.
+  uint64_t checkout_id_ = 0;
+  std::vector<uint64_t> clean_;
+  std::vector<int64_t> dropped_;
 };
 
 }  // namespace orpheus::minidb

@@ -5,9 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <optional>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/log.h"
@@ -43,52 +41,6 @@ uint64_t HashSeed(const std::string& s) {
 }
 
 }  // namespace
-
-Changeset DiffChangeset(const minidb::Table& base,
-                        const minidb::Table& table) {
-  Changeset out;
-  const std::vector<int64_t>& base_rids = base.column(0).int_data();
-  const std::vector<int> order = table.schema().ColumnOrderIn(base.schema());
-  std::vector<bool> kept(base.num_rows(), false);
-  if (!order.empty() && order[0] == 0) {
-    std::unordered_map<int64_t, uint32_t> row_of_rid;  // built on first miss
-    std::vector<uint32_t> shipped;
-    const minidb::Column& rids = table.column(0);
-    for (uint32_t r = 0; r < table.num_rows(); ++r) {
-      bool same = false;
-      if (!rids.IsNull(r)) {
-        // Fast path: an edited checkout keeps its rows in place.
-        const int64_t rid = rids.GetInt(r);
-        std::optional<uint32_t> b;
-        if (r < base.num_rows() && base_rids[r] == rid) {
-          b = r;
-        } else {
-          if (row_of_rid.empty()) {
-            for (uint32_t i = 0; i < base.num_rows(); ++i) {
-              row_of_rid.emplace(base_rids[i], i);
-            }
-          }
-          auto it = row_of_rid.find(rid);
-          if (it != row_of_rid.end()) b = it->second;
-        }
-        same = b.has_value() && !kept[*b];
-        for (size_t c = 1; same && c < table.num_columns(); ++c) {
-          same = table.column(c).CellEquals(r, base.column(order[c]), *b);
-        }
-        if (same) kept[*b] = true;
-      }
-      if (!same) shipped.push_back(r);
-    }
-    if (shipped.size() < table.num_rows()) {
-      out.subset = table.CopyRows(shipped, table.name());
-    }
-  }
-  for (uint32_t b = 0; b < base.num_rows(); ++b) {
-    if (!kept[b]) out.deleted.push_back(base_rids[b]);
-  }
-  std::sort(out.deleted.begin(), out.deleted.end());
-  return out;
-}
 
 Client::Client(std::string address, ClientOptions options)
     : address_(std::move(address)),
@@ -191,7 +143,7 @@ uint64_t Client::AckFloor() const {
   return floor;
 }
 
-Result<Response> Client::Call(Request req, std::string* raw) {
+Result<Response> Client::Call(Request req) {
   ++stats_.calls;
   if (req.request_seq == 0) req.request_seq = next_seq_++;
   req.acked_seq = AckFloor();
@@ -241,10 +193,7 @@ Result<Response> Client::Call(Request req, std::string* raw) {
             Response resp = decoded.MoveValueOrDie();
             // The server's answer for this seq is in hand: let it prune.
             acked_seq_ = std::max(acked_seq_, req.request_seq);
-            if (resp.ok()) {
-              if (raw != nullptr) *raw = std::move(payload);
-              return resp;
-            }
+            if (resp.ok()) return resp;
             s = resp.ToStatus();
             server_retryable = resp.retryable;
             if (!server_retryable) return s;  // definitive verdict
@@ -300,21 +249,19 @@ Result<minidb::Table> Client::Checkout(
   req.sid = sid;
   req.vids = vids;
   req.table_name = table_name;
-  // A re-checkout replaces the server's staged checkout, so the old base
-  // is stale whatever this call returns.
+  // A re-checkout replaces the server's staged checkout, so the old one is
+  // gone whatever this call returns.
   const auto key = std::make_pair(sid, table_name);
-  bases_.erase(key);
-  std::string raw;
-  ORPHEUS_ASSIGN_OR_RETURN(Response resp, Call(std::move(req), &raw));
-  const minidb::Table* table = resp.decoded_table.get();
+  checkouts_.erase(key);
+  ORPHEUS_ASSIGN_OR_RETURN(Response resp, Call(std::move(req)));
+  minidb::Table* table = resp.decoded_table.get();
   if (table == nullptr || table->num_columns() == 0 ||
       table->schema().column(0).name != "_rid" ||
       table->column(0).type() != minidb::ValueType::kInt64) {
     return Status::Internal("checkout response carries no _rid table");
   }
-  // The reply's bytes become the base, moved rather than copied.
-  bases_[key] = std::move(raw);
-  return std::move(*resp.decoded_table);
+  checkouts_[key] = table->StampCheckout();
+  return std::move(*table);
 }
 
 Result<session::CommitOutcome> Client::Commit(uint64_t sid,
@@ -323,12 +270,16 @@ Result<session::CommitOutcome> Client::Commit(uint64_t sid,
                                               const std::string& author) {
   ORPHEUS_TRACE_SPAN("net.client.commit");
   const auto key = std::make_pair(sid, table.name());
-  auto base = bases_.find(key);
-  if (base == bases_.end()) {
+  auto checkout = checkouts_.find(key);
+  if (checkout == checkouts_.end()) {
     return Status::NotFound(StrFormat(
         "no checkout of table %s in session %llu through this client; "
         "check it out first",
         table.name().c_str(), static_cast<unsigned long long>(sid)));
+  }
+  if (table.checkout_id() != checkout->second) {
+    return Status::InvalidArgument(StrFormat(
+        "table %s is a copy or a stale checkout", table.name().c_str()));
   }
   Request req;
   req.op = Op::kCommit;
@@ -336,19 +287,12 @@ Result<session::CommitOutcome> Client::Commit(uint64_t sid,
   req.table_name = table.name();
   req.message = message;
   req.author = author;
-  Changeset changeset;
-  {
-    ORPHEUS_TRACE_SPAN("diff");
-    ORPHEUS_ASSIGN_OR_RETURN(Response checkout, DecodeResponse(base->second));
-    if (checkout.decoded_table == nullptr) {
-      return Status::Internal("checkout base carries no table");
-    }
-    changeset = DiffChangeset(*checkout.decoded_table, table);
-  }
-  req.deleted = std::move(changeset.deleted);
+  minidb::Table::Edits edits = table.GetEdits();
+  req.deleted = std::move(edits.dropped);
   // Encoded in place on every attempt, never copied again.
-  req.table = &changeset.Rows(table);
-  ORPHEUS_COUNTER_ADD("net.client.commit.rows_shipped", req.table->num_rows());
+  const minidb::Table rows = table.CopyRows(edits.changed, table.name());
+  req.table = &rows;
+  ORPHEUS_COUNTER_ADD("net.client.commit.rows_shipped", rows.num_rows());
   // A commit whose previous call died with the outcome unknown is retried
   // under its ORIGINAL stamp, with the same changeset: the server either
   // replays the recorded verdict or resumes the parked durability wait —
@@ -361,18 +305,18 @@ Result<session::CommitOutcome> Client::Commit(uint64_t sid,
   Result<Response> resp = Call(std::move(req));
   // DeadlineExceeded and attempts-exhausted Unavailable both mean the
   // outcome is UNKNOWN (the commit may have executed server-side): keep
-  // the stamp pinned, and the base with it. Anything else is a definitive
-  // verdict.
+  // the stamp pinned, and the checkout with it. Anything else is a
+  // definitive verdict.
   if (resp.ok() || (!resp.status().IsDeadlineExceeded() &&
                     !resp.status().IsUnavailable())) {
     unresolved_commits_.erase(key);
   } else {
     unresolved_commits_[key] = seq;
   }
-  // The base goes once the server holds no checkout to diff against: the
-  // commit landed, or the session or checkout is gone. A refused commit
-  // keeps it, so the caller can fix the table and commit again.
-  if (resp.ok() || resp.status().IsNotFound()) bases_.erase(key);
+  // The checkout goes once the server holds it no more: the commit landed,
+  // or the session or checkout is gone. A refused commit keeps it, so the
+  // caller can fix the table and commit again.
+  if (resp.ok() || resp.status().IsNotFound()) checkouts_.erase(key);
   if (!resp.ok()) return resp.status();
   return std::move(resp.ValueOrDie().outcome);
 }
@@ -393,9 +337,9 @@ Result<std::vector<CvdSummary>> Client::Ls() {
 }
 
 Status Client::CloseSession(uint64_t sid) {
-  for (auto it = bases_.lower_bound({sid, ""});
-       it != bases_.end() && it->first.first == sid;) {
-    it = bases_.erase(it);
+  for (auto it = checkouts_.lower_bound({sid, ""});
+       it != checkouts_.end() && it->first.first == sid;) {
+    it = checkouts_.erase(it);
   }
   Request req;
   req.op = Op::kClose;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,27 +40,6 @@ struct ClientOptions {
   std::string client_uuid;
 };
 
-/// A commit's changeset against its checkout (DESIGN.md §14.1): the
-/// checkout rids the commit does not keep unchanged, and the rows to ship.
-struct Changeset {
-  std::vector<core::RecordId> deleted;  // sorted
-  /// The shipped rows when some were left out (`_rid` kept, row order
-  /// preserved); unset when the whole table ships.
-  std::optional<minidb::Table> subset;
-
-  const minidb::Table& Rows(const minidb::Table& table) const {
-    return subset ? *subset : table;
-  }
-};
-
-/// Diff `table` against its checkout `base` (column 0 `_rid`), column by
-/// column. A row is left out only when it carries a base rid not matched
-/// yet and every cell CellEquals that base row's: NaN never equals, -0.0
-/// equals 0.0, NULL equals only NULL, and no hash decides anything. A
-/// table whose columns differ from the base's in more than order ships
-/// whole and deletes every base rid.
-Changeset DiffChangeset(const minidb::Table& base, const minidb::Table& table);
-
 /// Client side of the orpheusd wire protocol (DESIGN.md §14.5): carries
 /// the SessionApi over a socket with deadlines, transparent reconnect,
 /// and capped exponential backoff. Retry policy:
@@ -77,11 +55,9 @@ Changeset DiffChangeset(const minidb::Table& base, const minidb::Table& table);
 ///     Commit again with the same table — the stamp makes the retry
 ///     resolve, not repeat, the commit.
 ///
-/// Commits ship changesets (DESIGN.md §14.1): the client keeps each
-/// checkout reply's bytes as the base of that (sid, table) and ships only
-/// the rows that differ from it, plus the base rids it did not keep. The
-/// server still checks every shipped row, so a row is left out only when
-/// it provably equals its base row.
+/// Commits ship changesets (DESIGN.md §14.1): a checkout's table comes back
+/// stamped and records its own edits, which a commit ships; the client
+/// keeps only each (sid, table)'s checkout id.
 ///
 /// NOT thread-safe: one thread drives a Client (like a Session).
 class Client final : public session::SessionApi {
@@ -94,22 +70,19 @@ class Client final : public session::SessionApi {
   Result<OpenResult> Open(const std::string& cvd) override;
 
   /// Materialize versions into the session's staging table `table_name`
-  /// and return it. The reply also becomes the base a later Commit of that
-  /// table diffs against (replacing any earlier base of the same name).
+  /// and return it, stamped as the checkout a later Commit of that name
+  /// must hand back (replacing any earlier checkout of the same name).
   Result<minidb::Table> Checkout(uint64_t sid,
                                  const std::vector<core::VersionId>& vids,
                                  const std::string& table_name) override;
 
   /// Commit `table` (named as the checkout it edits) against the
-  /// provenance recorded by the server at Checkout. Ships a changeset: the
-  /// rows that differ from the checkout (a row is left out only when it
-  /// keeps its checkout `_rid` and every cell equals that row's), plus the
-  /// checkout rids not kept. A table whose columns differ from the
-  /// checkout's in more than order ships whole. NotFound without a
-  /// checkout of that table through this client. Exactly-once under retry
-  /// (see above); the base stays until the commit succeeds, the server
-  /// loses the checkout, the table is checked out again or the session is
-  /// closed.
+  /// provenance recorded by the server at Checkout, shipping its recorded
+  /// edits. NotFound without a checkout of that table through this client;
+  /// InvalidArgument, nothing sent, when `table` is not the table that
+  /// checkout returned. Exactly-once under retry (see above); the checkout
+  /// stays committable until the commit succeeds, the server loses it, the
+  /// table is checked out again or the session is closed.
   Result<session::CommitOutcome> Commit(
       uint64_t sid, const minidb::Table& table, const std::string& message,
       const std::string& author = "") override;
@@ -130,17 +103,14 @@ class Client final : public session::SessionApi {
     uint64_t reconnects = 0;
   };
   const Stats& stats() const { return stats_; }
-  /// Checkout bases held for later commits (one per (sid, table)).
-  size_t bases_held() const { return bases_.size(); }
 
  private:
   Client(std::string address, ClientOptions options);
 
   /// The retry loop every public method funnels through. A request_seq of
   /// 0 means "assign the next one"; Commit pre-sets it to resume an
-  /// unresolved (deadline-exceeded) commit under its ORIGINAL stamp. On
-  /// success the raw response bytes are moved into `*payload` if given.
-  Result<Response> Call(Request req, std::string* payload = nullptr);
+  /// unresolved (deadline-exceeded) commit under its ORIGINAL stamp.
+  Result<Response> Call(Request req);
   Status EnsureConnected(const Deadline& deadline);
   void DropConnection();
   void BackoffBeforeRetry(int attempt, const Deadline& deadline);
@@ -159,9 +129,8 @@ class Client final : public session::SessionApi {
   // keyed by (sid, table): the next Commit on that key reuses the stamp so
   // the server resolves — not repeats — the commit.
   std::map<std::pair<uint64_t, std::string>, uint64_t> unresolved_commits_;
-  // Checkout reply bytes keyed by (sid, table): the base a commit of that
-  // table diffs against, decoded only when the commit runs.
-  std::map<std::pair<uint64_t, std::string>, std::string> bases_;
+  // Checkout id of the table each (sid, table) checkout returned.
+  std::map<std::pair<uint64_t, std::string>, uint64_t> checkouts_;
   Xorshift rng_;
   Stats stats_;
 };

@@ -465,22 +465,12 @@ std::string SessionServer::HandleCheckout(RemoteSession* rs,
   Response resp;
   resp.request_seq = req.request_seq;
   resp.op = req.op;
-  session::Session* session = rs->session.get();
-  // Idempotent re-checkout: a retry after a lost response finds the
-  // checkout already kept — discard and redo rather than failing
-  // "exists". Redoing it keeps the same rids the client's base holds.
-  if (session->CheckoutParents(req.table_name) != nullptr) {
-    Status discarded = session->DiscardStaging(req.table_name);
-    if (!discarded.ok()) {
-      resp.SetStatus(discarded, false);
-      return EncodeResponse(resp);
-    }
-  }
   // The reply is gathered from the shared tables while the session layer
   // holds its reader lock; the session keeps only the checkout's parents,
   // schema and rids, against which the client's commit ships a changeset.
+  // A retry after a lost response replaces the checkout it already made.
   std::string encoded;
-  Status s = session->CheckoutSelection(
+  Status s = rs->session->CheckoutSelection(
       req.vids, req.table_name, [&](const core::RowSelection& sel) {
         ORPHEUS_TRACE_SPAN("encode");
         encoded = EncodeCheckoutResponse(resp, sel, req.table_name);

@@ -98,12 +98,12 @@ struct Request {
   std::string message;                // kCommit
   std::string author;                 // kCommit
   // kCommit: the changeset against the session's checkout of table_name —
-  // the checkout rids not kept unchanged (sorted), and a table of every
-  // other row of the client's table (`_rid` kept, row order preserved).
-  // The rows the client left out are exactly the unchanged ones; the
-  // server carries them without a scan. Encoding reads `table`, which the
-  // sender keeps alive through the encode (it is not copied); decoding
-  // allocates the table into `decoded_table` and points `table` at it.
+  // the checkout rids no unchanged row holds (sorted), and a table of the
+  // changed rows (`_rid` kept, row order preserved). The server carries
+  // the unchanged rows' records without a scan. Encoding reads `table`,
+  // which the sender keeps alive through the encode (it is not copied);
+  // decoding allocates the table into `decoded_table` and points `table`
+  // at it.
   std::vector<core::RecordId> deleted;
   const minidb::Table* table = nullptr;
   std::unique_ptr<minidb::Table> decoded_table;

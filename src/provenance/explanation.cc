@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace orpheus::provenance {
 
@@ -22,13 +21,29 @@ const char* OperationName(Operation op) {
 
 namespace {
 
-// Serialize a row restricted to the given columns.
-std::string RowKey(const minidb::Table& t, uint32_t r,
-                   const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += t.GetValue(r, static_cast<size_t>(c)).ToString();
-    key += '\x1f';
+using minidb::Column;
+using minidb::KeyColumns;
+using minidb::Table;
+using minidb::ValueType;
+
+// Columns `cols` of `t` as a typed key. A column whose counterpart in
+// `other_cols` of `other` has a more general type (int < double < string)
+// is widened to it once, whole (Column::Widen, into `widened`, which must
+// not reallocate), so int 7 matches double 7.0; NULL stays NULL.
+KeyColumns CommonKey(const Table& t, const std::vector<int>& cols,
+                     const Table& other, const std::vector<int>& other_cols,
+                     std::vector<Column>* widened) {
+  KeyColumns key;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Column* col = &t.column(cols[i]);
+    const ValueType from = col->type();
+    const ValueType to = other.column(other_cols[i]).type();
+    if ((from == ValueType::kInt64 && to == ValueType::kDouble) ||
+        (from != ValueType::kString && to == ValueType::kString)) {
+      Column& wide = widened->emplace_back(*col);
+      if (wide.Widen(to).ok()) col = &wide;
+    }
+    key.cols.push_back(col);
   }
   return key;
 }
@@ -63,17 +78,25 @@ Explanation ExplainDerivation(const minidb::Table& parent,
     }
   }
 
-  // Row comparison over the common columns.
-  std::unordered_map<std::string, int> parent_rows;
+  // Row comparison over the common columns, typed: NULL equals only NULL
+  // and doubles compare exactly. Each distinct parent row counts its
+  // copies at its first row.
+  std::vector<Column> widened;
+  widened.reserve(p_common.size() + 1);  // one per compared pair at most
+  const std::vector<KeyColumns> rows = {
+      CommonKey(parent, p_common, child, c_common, &widened),
+      CommonKey(child, c_common, parent, p_common, &widened)};
+  minidb::KeySet row_set(rows, parent.num_rows());
+  std::vector<int> copies(parent.num_rows(), 0);
   for (uint32_t r = 0; r < parent.num_rows(); ++r) {
-    ++parent_rows[RowKey(parent, r, p_common)];
+    const auto first = row_set.Find(0, r, true);
+    ++copies[first ? first->second : r];
   }
   int common_rows = 0;
-  std::unordered_map<std::string, int> remaining = parent_rows;
   for (uint32_t r = 0; r < child.num_rows(); ++r) {
-    auto it = remaining.find(RowKey(child, r, c_common));
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
+    const auto match = row_set.Find(1, r, false);
+    if (match && copies[match->second] > 0) {
+      --copies[match->second];
       ++common_rows;
     } else {
       ++ex.rows_added;
@@ -81,24 +104,22 @@ Explanation ExplainDerivation(const minidb::Table& parent,
   }
   ex.rows_removed = static_cast<int>(parent.num_rows()) - common_rows;
 
-  // Update detection on the key column.
+  // Update detection on the key column: a child row matching no parent
+  // row whose key some parent row has.
   if (!key_column.empty()) {
-    int pk = parent.schema().FindColumn(key_column);
-    int ck = child.schema().FindColumn(key_column);
+    const int pk = parent.schema().FindColumn(key_column);
+    const int ck = child.schema().FindColumn(key_column);
     if (pk >= 0 && ck >= 0) {
-      std::unordered_map<std::string, uint32_t> by_key;
+      const std::vector<KeyColumns> keys = {
+          CommonKey(parent, {pk}, child, {ck}, &widened),
+          CommonKey(child, {ck}, parent, {pk}, &widened)};
+      minidb::KeySet parent_keys(keys, parent.num_rows());
       for (uint32_t r = 0; r < parent.num_rows(); ++r) {
-        by_key.emplace(parent.GetValue(r, pk).ToString(), r);
-      }
-      std::unordered_set<std::string> parent_full;
-      for (uint32_t r = 0; r < parent.num_rows(); ++r) {
-        parent_full.insert(RowKey(parent, r, p_common));
+        parent_keys.Has(0, r, true);
       }
       for (uint32_t r = 0; r < child.num_rows(); ++r) {
-        if (parent_full.count(RowKey(child, r, c_common))) continue;
-        if (by_key.count(child.GetValue(r, ck).ToString())) {
-          ++ex.rows_modified;
-        }
+        if (row_set.Find(1, r, false)) continue;
+        if (parent_keys.Has(1, r, false)) ++ex.rows_modified;
       }
     }
   }

@@ -64,38 +64,47 @@ Status Session::Checkout(const std::vector<core::VersionId>& vids,
   ORPHEUS_ASSIGN_OR_RETURN(minidb::Table table,
                            CheckoutTable(vids, table_name));
   Status adopted = staging_.AdoptTable(std::move(table)).status();
-  if (!adopted.ok()) parents_.erase(table_name);
+  if (!adopted.ok()) checkouts_.erase(table_name);
   return adopted;
 }
 
 Result<minidb::Table> Session::CheckoutTable(
     const std::vector<core::VersionId>& vids, const std::string& table_name) {
-  if (parents_.find(table_name) != parents_.end()) {
-    return Status::InvalidArgument(
-        StrFormat("staging table \"%s\" already exists", table_name.c_str()));
-  }
-  ORPHEUS_ASSIGN_OR_RETURN(
-      minidb::Table table,
-      manager_->Materialize(vids, table_name, watermark_));
-  parents_[table_name] = vids;
+  ORPHEUS_TRACE_SPAN("session.checkout");
+  minidb::Table table(table_name, minidb::Schema());
+  ORPHEUS_RETURN_NOT_OK(CheckoutSelection(
+      vids, table_name, [&](core::RowSelection& sel) {
+        table = std::move(sel).Materialize(table_name);
+      }));
+  checkouts_[table_name].checkout_id = table.StampCheckout();
   return table;
 }
 
 Status Session::CheckoutSelection(
     const std::vector<core::VersionId>& vids, const std::string& table_name,
-    const std::function<void(const core::RowSelection&)>& emit) {
-  if (parents_.find(table_name) != parents_.end()) {
-    return Status::InvalidArgument(
-        StrFormat("staging table \"%s\" already exists", table_name.c_str()));
+    const std::function<void(core::RowSelection&)>& emit) {
+  if (checkouts_.find(table_name) != checkouts_.end()) {
+    ORPHEUS_RETURN_NOT_OK(DiscardStaging(table_name));
   }
-  KeptCheckout kept;
-  ORPHEUS_RETURN_NOT_OK(manager_->Select(
-      vids, watermark_, [&](const core::RowSelection& sel) {
-        kept = KeptCheckout{sel.schema(), sel.SortedRids()};
-        emit(sel);
-      }));
-  parents_[table_name] = vids;
-  kept_checkouts_[table_name] = std::move(kept);
+  for (core::VersionId vid : vids) {
+    if (vid > watermark_) {
+      return Status::InvalidArgument(StrFormat(
+          "version v%d is beyond this session's snapshot (watermark v%d); "
+          "refresh the session to see newer commits",
+          vid, watermark_));
+    }
+  }
+  // A commit appends to the tables the selection borrows (and may move
+  // their columns), so the lock is held until `emit` is done with it.
+  ReaderMutexLock data(&manager_->data_mu_);
+  Result<core::RowSelection> sel = [&] {
+    ORPHEUS_TRACE_SPAN("select");
+    return manager_->cvd_->Select(vids);
+  }();
+  ORPHEUS_RETURN_NOT_OK(sel.status());
+  checkouts_[table_name] =
+      KeptCheckout{vids, sel->schema(), sel->SortedRids(), 0};
+  emit(*sel);
   return Status::OK();
 }
 
@@ -107,7 +116,17 @@ Result<CommitOutcome> Session::Commit(const std::string& table_name,
     return Status::NotFound(
         StrFormat("no staging table \"%s\"", table_name.c_str()));
   }
-  return CommitTable(*table, message, author);
+  auto it = checkouts_.find(table_name);
+  if (it == checkouts_.end() ||
+      table->checkout_id() == it->second.checkout_id) {
+    return CommitTable(*table, message, author);
+  }
+  // A table restaged under the name ships whole, deleting every rid.
+  CommitOutcome out;
+  ORPHEUS_RETURN_NOT_OK(CommitChangeset(table_name, *table, it->second.rids,
+                                        message, author, Deadline::Infinite(),
+                                        &out));
+  return out;
 }
 
 Result<CommitOutcome> Session::CommitTable(const minidb::Table& table,
@@ -115,9 +134,18 @@ Result<CommitOutcome> Session::CommitTable(const minidb::Table& table,
                                            const std::string& author) {
   // A copy: committing a staged table drops it, name and all.
   const std::string name = table.name();
+  auto it = checkouts_.find(name);
+  if (it != checkouts_.end() &&
+      (table.checkout_id() == 0 ||
+       table.checkout_id() != it->second.checkout_id)) {
+    return Status::InvalidArgument(StrFormat(
+        "table \"%s\" is a copy or a stale checkout", name.c_str()));
+  }
+  const minidb::Table::Edits edits = table.GetEdits();
   CommitOutcome out;
-  ORPHEUS_RETURN_NOT_OK(CommitRows(name, table, {}, message, author,
-                                   Deadline::Infinite(), &out));
+  ORPHEUS_RETURN_NOT_OK(CommitChangeset(
+      name, table.CopyRows(edits.changed, name), edits.dropped, message,
+      author, Deadline::Infinite(), &out));
   return out;
 }
 
@@ -131,10 +159,10 @@ Status Session::CommitChangeset(const std::string& table_name,
   if (pending_it != pending_commits_.end()) {
     return ResumePending(pending_it, deadline, out);
   }
-  auto it = kept_checkouts_.find(table_name);
-  if (it == kept_checkouts_.end()) {
-    return Status::NotFound(
-        StrFormat("no remote checkout \"%s\"", table_name.c_str()));
+  auto it = checkouts_.find(table_name);
+  if (it == checkouts_.end()) {
+    return Status::NotFound(StrFormat(
+        "no checkout of table \"%s\" in this session", table_name.c_str()));
   }
   const std::vector<RecordId>& checkout = it->second.rids;
   for (size_t i = 0; i < deleted.size(); ++i) {
@@ -162,8 +190,20 @@ Status Session::CommitChangeset(const std::string& table_name,
     }
   }
   ORPHEUS_COUNTER_ADD("session.commit.rows_carried", carried.size());
-  return CommitRows(table_name, rows, carried, message, author, deadline,
-                    out);
+  PendingDurability pending;
+  Status s = manager_->CommitStaged(rows, carried, it->second.parents, message,
+                                    author, deadline, out, &pending);
+  if (s.IsDeadlineExceeded()) {
+    pending_commits_[table_name] = std::move(pending);
+    return s;
+  }
+  ORPHEUS_RETURN_NOT_OK(s);
+  Forget(table_name);
+  // Read-your-writes: the commit is durable by now, so the manager's
+  // watermark covers it — advancing the pin cannot admit anything weaker
+  // than snapshot isolation.
+  watermark_ = std::max(watermark_, manager_->watermark());
+  return Status::OK();
 }
 
 Status Session::ResumePending(
@@ -182,39 +222,11 @@ Status Session::ResumePending(
   return Status::OK();
 }
 
-Status Session::CommitRows(const std::string& table_name,
-                           const minidb::Table& rows,
-                           const std::vector<RecordId>& carried,
-                           const std::string& message,
-                           const std::string& author, const Deadline& deadline,
-                           CommitOutcome* out) {
-  auto it = parents_.find(table_name);
-  if (it == parents_.end()) {
-    return Status::NotFound(StrFormat(
-        "no checkout of table \"%s\" in this session", table_name.c_str()));
-  }
-  PendingDurability pending;
-  Status s = manager_->CommitStaged(rows, carried, it->second, message, author,
-                                    deadline, out, &pending);
-  if (s.IsDeadlineExceeded()) {
-    pending_commits_[table_name] = std::move(pending);
-    return s;
-  }
-  ORPHEUS_RETURN_NOT_OK(s);
-  Forget(table_name);
-  // Read-your-writes: the commit is durable by now, so the manager's
-  // watermark covers it — advancing the pin cannot admit anything weaker
-  // than snapshot isolation.
-  watermark_ = std::max(watermark_, manager_->watermark());
-  return Status::OK();
-}
-
 void Session::Forget(const std::string& table_name) {
   if (staging_.HasTable(table_name)) {
     ORPHEUS_CHECK_OK(staging_.DropTable(table_name));
   }
-  parents_.erase(table_name);
-  kept_checkouts_.erase(table_name);
+  checkouts_.erase(table_name);
 }
 
 Status Session::DiscardStaging(const std::string& table_name) {
@@ -223,7 +235,7 @@ Status Session::DiscardStaging(const std::string& table_name) {
         "staging table \"%s\" has a commit awaiting durability; resolve it "
         "before discarding", table_name.c_str()));
   }
-  if (parents_.find(table_name) == parents_.end()) {
+  if (checkouts_.find(table_name) == checkouts_.end()) {
     return Status::NotFound(
         StrFormat("no staging table \"%s\"", table_name.c_str()));
   }
@@ -295,44 +307,6 @@ core::VersionId SessionManager::TipOf(core::VersionId base) const {
     if (graph.children(d - 1).empty() && d > tip) tip = d;
   }
   return tip;
-}
-
-Status SessionManager::CheckSnapshot(const std::vector<core::VersionId>& vids,
-                                     core::VersionId watermark) {
-  for (core::VersionId vid : vids) {
-    if (vid > watermark) {
-      return Status::InvalidArgument(StrFormat(
-          "version v%d is beyond this session's snapshot (watermark v%d); "
-          "refresh the session to see newer commits",
-          vid, watermark));
-    }
-  }
-  return Status::OK();
-}
-
-Result<minidb::Table> SessionManager::Materialize(
-    const std::vector<core::VersionId>& vids, const std::string& table_name,
-    core::VersionId watermark) const {
-  ORPHEUS_TRACE_SPAN("session.checkout");
-  ORPHEUS_RETURN_NOT_OK(CheckSnapshot(vids, watermark));
-  ReaderMutexLock data(&data_mu_);
-  return cvd_->Materialize(vids, table_name);
-}
-
-Status SessionManager::Select(
-    const std::vector<core::VersionId>& vids, core::VersionId watermark,
-    const std::function<void(const core::RowSelection&)>& emit) const {
-  ORPHEUS_RETURN_NOT_OK(CheckSnapshot(vids, watermark));
-  // A commit appends to the tables the selection borrows (and may move
-  // their columns), so the lock is held until `emit` is done with it.
-  ReaderMutexLock data(&data_mu_);
-  Result<core::RowSelection> sel = [&] {
-    ORPHEUS_TRACE_SPAN("select");
-    return cvd_->Select(vids);
-  }();
-  ORPHEUS_RETURN_NOT_OK(sel.status());
-  emit(*sel);
-  return Status::OK();
 }
 
 Result<minidb::Table> SessionManager::Diff(core::VersionId a,

@@ -78,15 +78,18 @@ struct PendingDurability {
 
 /// A private workspace over the shared CVD. NOT thread-safe — one thread
 /// drives a Session at a time; concurrency comes from many Sessions.
+/// Every commit is a changeset against a kept checkout (CommitChangeset);
+/// a checkout's table is stamped and records the edits a commit ships.
 class Session {
  public:
   /// Materialize versions (all <= the pinned watermark) into this session's
-  /// staging database as `table_name`, recording provenance for Commit.
+  /// staging database as `table_name`, recording provenance for Commit. A
+  /// checkout of a name the session holds replaces it (DiscardStaging).
   Status Checkout(const std::vector<core::VersionId>& vids,
                   const std::string& table_name);
 
-  /// Checkout that hands the table to the caller instead of staging it;
-  /// the session records only its provenance, for CommitTable.
+  /// Checkout that hands the stamped table to the caller instead of
+  /// staging it, for CommitTable.
   Result<minidb::Table> CheckoutTable(const std::vector<core::VersionId>& vids,
                                       const std::string& table_name);
 
@@ -96,34 +99,36 @@ class Session {
     return staging_.GetTable(name);
   }
 
-  /// Commit a staged table against the parents recorded at Checkout. On
-  /// success (including a conflict outcome — the table's own version is
-  /// always created) the staging table is dropped and the watermark
-  /// advances to cover the new commit(s).
+  /// Commit a staged table against the parents recorded at Checkout (a
+  /// table restaged under that name ships whole). On success (including a
+  /// conflict outcome — the table's own version is always created) the
+  /// staging table is dropped and the watermark advances to cover the new
+  /// commit(s).
   Result<CommitOutcome> Commit(const std::string& table_name,
                                const std::string& message,
                                const std::string& author = "");
 
-  /// Commit `table`, the caller's edit of the checkout named table.name(),
-  /// against the parents recorded at that checkout; as Commit otherwise.
+  /// Commit the recorded edits of `table`, the caller's edit of the
+  /// checkout named table.name(); as Commit otherwise. InvalidArgument
+  /// when `table` is not the table that checkout handed out (a copy, or
+  /// one from an earlier checkout of the name).
   Result<CommitOutcome> CommitTable(const minidb::Table& table,
                                     const std::string& message,
                                     const std::string& author = "");
 
-  /// The server's form of Checkout (DESIGN.md §14.1): select the versions'
-  /// rows and hand the selection to `emit` while the CVD's reader lock is
-  /// still held — the selection borrows the shared tables, so it must not
-  /// be used after `emit` returns. Stages no table: the session keeps only
-  /// the provenance, schema and sorted rids of the checkout, against which
-  /// the client commits a changeset (CommitChangeset).
+  /// The core of every checkout, and the server's form of it (DESIGN.md
+  /// §14.1): select the versions' rows and hand the selection to `emit`
+  /// while the CVD's reader lock is still held — the selection borrows the
+  /// shared tables, so it must not be used after `emit` returns. Stages no
+  /// table: the session keeps only the parents, schema and sorted rids of
+  /// the checkout, against which a changeset commits (CommitChangeset).
   Status CheckoutSelection(
       const std::vector<core::VersionId>& vids, const std::string& table_name,
-      const std::function<void(const core::RowSelection&)>& emit);
+      const std::function<void(core::RowSelection&)>& emit);
 
-  /// Commit a remote client's changeset against a checkout kept by
-  /// CheckoutSelection. `rows` are the rows the client shipped (changed, new,
-  /// or simply not left out); `deleted` are the checkout rids it did not
-  /// keep unchanged, sorted and unique. The version holds `rows` plus the
+  /// Commit a changeset against a kept checkout: `rows` are the rows the
+  /// caller changed or added; `deleted` are the checkout rids no unchanged
+  /// row holds, sorted and unique. The version holds `rows` plus the
   /// checkout's other records, which are carried without a scan; every
   /// shipped row gets the matching and primary-key checks of a full-table
   /// commit. InvalidArgument if `deleted` is unsorted, repeats a rid, or
@@ -158,13 +163,6 @@ class Session {
   /// `table_name` is still in flight.
   Status DiscardStaging(const std::string& table_name);
 
-  /// The parent versions recorded for `table_name` at Checkout, or null.
-  const std::vector<core::VersionId>* CheckoutParents(
-      const std::string& table_name) const {
-    auto it = parents_.find(table_name);
-    return it == parents_.end() ? nullptr : &it->second;
-  }
-
   /// Records in `a` but not `b` (both <= the pinned watermark).
   Result<minidb::Table> Diff(core::VersionId a, core::VersionId b) const;
 
@@ -183,26 +181,20 @@ class Session {
   Status ResumePending(
       std::unordered_map<std::string, PendingDurability>::iterator pending,
       const Deadline& deadline, CommitOutcome* out);
-  /// Commit `rows` plus the stored records `carried` against the parents
-  /// recorded for `table_name`; on success forget the staged table.
-  Status CommitRows(const std::string& table_name, const minidb::Table& rows,
-                    const std::vector<core::RecordId>& carried,
-                    const std::string& message, const std::string& author,
-                    const Deadline& deadline, CommitOutcome* out);
   /// Forget everything staged under `table_name` (rows, rids, parents).
   void Forget(const std::string& table_name);
 
   SessionManager* manager_;
   core::VersionId watermark_;
   minidb::Database staging_;
-  // Staging table -> parent versions pinned at checkout.
-  std::unordered_map<std::string, std::vector<core::VersionId>> parents_;
-  // Staging table -> the schema and sorted rids of a CheckoutSelection.
+  // Checkout name -> what a commit of it is checked against.
   struct KeptCheckout {
+    std::vector<core::VersionId> parents;  // pinned at checkout
     minidb::Schema schema;
-    std::vector<core::RecordId> rids;
+    std::vector<core::RecordId> rids;  // sorted
+    uint64_t checkout_id = 0;  // of the table handed out; 0 for the server's
   };
-  std::unordered_map<std::string, KeptCheckout> kept_checkouts_;
+  std::unordered_map<std::string, KeptCheckout> checkouts_;
   // Staging table -> commit applied in memory but with its WAL batch still
   // in flight after a durability-wait timeout (see CommitChangeset).
   std::unordered_map<std::string, PendingDurability> pending_commits_;
@@ -249,28 +241,15 @@ class SessionManager {
   /// Deterministic: highest version id wins. Caller holds data_mu_.
   core::VersionId TipOf(core::VersionId base) const;
 
-  Result<minidb::Table> Materialize(const std::vector<core::VersionId>& vids,
-                                    const std::string& table_name,
-                                    core::VersionId watermark) const;
-  /// Select the versions' rows and call `emit` on them under the shared
-  /// data lock (Session::CheckoutSelection).
-  Status Select(const std::vector<core::VersionId>& vids,
-                core::VersionId watermark,
-                const std::function<void(const core::RowSelection&)>& emit)
-      const;
-  /// InvalidArgument when a version lies beyond `watermark`.
-  static Status CheckSnapshot(const std::vector<core::VersionId>& vids,
-                              core::VersionId watermark);
   Result<minidb::Table> Diff(core::VersionId a, core::VersionId b,
                              core::VersionId watermark) const;
 
   /// The optimistic-commit protocol (see session.cc for the lock dance):
-  /// commit `rows` plus the stored records `carried` (sorted; empty for a
-  /// local commit of a whole staged table) with a bounded durability wait.
-  /// On DeadlineExceeded `*pending` holds the in-flight tickets plus the
-  /// parked outcome (the apply already happened); the manager is NOT
-  /// poisoned — durability is unknown, not failed. Resolve by calling
-  /// WaitPendingDurable.
+  /// commit `rows` plus the stored records `carried` (sorted) with a
+  /// bounded durability wait. On DeadlineExceeded `*pending` holds the
+  /// in-flight tickets plus the parked outcome (the apply already
+  /// happened); the manager is NOT poisoned — durability is unknown, not
+  /// failed. Resolve by calling WaitPendingDurable.
   Status CommitStaged(const minidb::Table& rows,
                       const std::vector<core::RecordId>& carried,
                       const std::vector<core::VersionId>& parents,

@@ -35,9 +35,6 @@ Result<minidb::Table> InProcessSessions::Checkout(
     uint64_t sid, const std::vector<core::VersionId>& vids,
     const std::string& table_name) {
   ORPHEUS_ASSIGN_OR_RETURN(Session * session, Find(sid));
-  if (session->CheckoutParents(table_name) != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(session->DiscardStaging(table_name));
-  }
   return session->CheckoutTable(vids, table_name);
 }
 

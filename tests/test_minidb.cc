@@ -5,6 +5,7 @@
 #include <functional>
 #include <numeric>
 
+#include "common/random.h"
 #include "minidb/database.h"
 #include "minidb/join.h"
 #include "minidb/table.h"
@@ -189,7 +190,6 @@ TEST(ColumnKeyTest, KeyEqualsAndKeyHashMatchTheBoxedReference) {
                        std::to_string(i) + "] vs " + ValueTypeName(b.type()) +
                        "[" + std::to_string(j) + "]");
           EXPECT_EQ(a.KeyEquals(i, b, j), RefKeyEquals(va, vb));
-          EXPECT_EQ(a.CellEquals(i, b, j), va == vb);
           // Both hashes split the cells into the same classes.
           EXPECT_EQ(a.KeyHash(i) == b.KeyHash(j),
                     RefKeyHash(va) == RefKeyHash(vb));
@@ -205,9 +205,7 @@ TEST(ColumnKeyTest, SpecialCells) {
   const Column& doubles = cols[1];
   const Column& strings = cols[2];
   EXPECT_TRUE(doubles.KeyEquals(1, doubles, 2));    // 0.0 = -0.0
-  EXPECT_TRUE(doubles.CellEquals(1, doubles, 2));
   EXPECT_TRUE(doubles.KeyEquals(3, doubles, 4));    // NaN = NaN
-  EXPECT_FALSE(doubles.CellEquals(3, doubles, 4));  // but not as a cell
   EXPECT_FALSE(doubles.KeyEquals(5, doubles, 6));   // "%g" alike, distinct
   EXPECT_FALSE(ints.KeyEquals(0, doubles, 0));      // int 1 vs double 1.0
   EXPECT_FALSE(ints.KeyEquals(2, strings, 2));      // int 7 vs "7"
@@ -386,6 +384,227 @@ TEST(TableTest, StorageBytes) {
   EXPECT_EQ(t.IndexBytes(), 10u * 16);
   EXPECT_EQ(t.StorageBytes(), t.DataBytes() + t.IndexBytes());
 }
+
+// ---------------------------------------------------------------------------
+// Checkout tracking: a stamped table records its own edits
+// ---------------------------------------------------------------------------
+
+// A checkout-shaped table: _rid, then `serial` (the test's own row
+// identity, never reused), then two data columns. Row i holds rid
+// 100 + 3 * i and serial i.
+Table TrackedTable(size_t rows) {
+  Table t("w", Schema({{"_rid", ValueType::kInt64},
+                       {"serial", ValueType::kInt64},
+                       {"n", ValueType::kInt64},
+                       {"s", ValueType::kString}}));
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t v = static_cast<int64_t>(i);
+    t.AppendRowUnchecked({Value(100 + 3 * v), Value(v), Value(v % 7),
+                          Value("s" + std::to_string(v))});
+  }
+  return t;
+}
+
+TEST(TableTrackingTest, StampMakesEveryRowCleanAndCopiesAreUntracked) {
+  for (size_t rows : {0, 1, 63, 64, 65, 130}) {
+    Table t = TrackedTable(rows);
+    EXPECT_EQ(t.checkout_id(), 0u);
+    const uint64_t id = t.StampCheckout();
+    EXPECT_NE(id, 0u);
+    EXPECT_EQ(t.checkout_id(), id);
+    const Table::Edits edits = t.GetEdits();
+    EXPECT_TRUE(edits.changed.empty()) << rows;
+    EXPECT_TRUE(edits.dropped.empty()) << rows;
+    // Appended rows are changed, across the word boundary too.
+    t.AppendRowUnchecked({Value::Null(), Value(int64_t{-1}),
+                          Value(int64_t{0}), Value("new")});
+    EXPECT_EQ(t.GetEdits().changed, std::vector<uint32_t>{
+                                        static_cast<uint32_t>(rows)});
+    EXPECT_EQ(t.CopyRows({0}, "c").checkout_id(), 0u);
+    EXPECT_EQ(t.Clone("c").checkout_id(), 0u);
+    EXPECT_EQ(t.ProjectRows({0}, {0, 1}, "c").checkout_id(), 0u);
+    // Moving keeps the stamp.
+    Table moved = std::move(t);
+    EXPECT_EQ(moved.checkout_id(), id);
+  }
+  Table a = TrackedTable(3);
+  Table b = TrackedTable(3);
+  EXPECT_NE(a.StampCheckout(), b.StampCheckout());
+}
+
+TEST(TableTrackingTest, SetRowChangesTheRowEvenToTheSameValues) {
+  Table t = TrackedTable(70);
+  t.StampCheckout();
+  t.SetRow(2, t.GetRow(2));  // identical values
+  Row row = t.GetRow(66);
+  row[0] = Value(int64_t{9999});  // the rid itself
+  t.SetRow(66, row);
+  t.SetRow(66, t.GetRow(66));  // already changed: nothing new dropped
+  const Table::Edits edits = t.GetEdits();
+  EXPECT_EQ(edits.changed, (std::vector<uint32_t>{2, 66}));
+  EXPECT_EQ(edits.dropped, (std::vector<int64_t>{106, 298}));
+}
+
+TEST(TableTrackingTest, RewriteRowAppendToArrayChangesTheRow) {
+  Table t("w", Schema({{"_rid", ValueType::kInt64},
+                       {"vlist", ValueType::kIntArray}}));
+  t.AppendRowUnchecked({Value(int64_t{5}), Value(std::vector<int64_t>{1})});
+  t.AppendRowUnchecked({Value(int64_t{6}), Value(std::vector<int64_t>{1})});
+  t.StampCheckout();
+  t.RewriteRowAppendToArray(1, 1, 2);
+  EXPECT_EQ(t.GetEdits().changed, std::vector<uint32_t>{1});
+  EXPECT_EQ(t.GetEdits().dropped, std::vector<int64_t>{6});
+}
+
+TEST(TableTrackingTest, DeleteRowsMovesTheBitsWithTheRows) {
+  Table t = TrackedTable(130);
+  t.StampCheckout();
+  t.SetRow(129, t.GetRow(129));  // the last row, changed
+  // Row 129 moves into row 1's place, and row 128 into row 0's.
+  t.DeleteRows({0, 1});
+  Table::Edits edits = t.GetEdits();
+  EXPECT_EQ(edits.changed, std::vector<uint32_t>{1});
+  EXPECT_EQ(edits.dropped, (std::vector<int64_t>{100, 103, 487}));
+  EXPECT_EQ(t.GetValue(0, 1).AsInt(), 128);
+  // A row appended where a deleted row's bit was is changed.
+  t.DeleteRows({static_cast<uint32_t>(t.num_rows() - 1)});
+  t.AppendRowUnchecked(
+      {Value::Null(), Value(int64_t{-1}), Value(int64_t{0}), Value("x")});
+  edits = t.GetEdits();
+  const uint32_t appended = static_cast<uint32_t>(t.num_rows() - 1);
+  EXPECT_EQ(edits.changed, (std::vector<uint32_t>{1, appended}));
+  // Delete-all drops every clean rid.
+  std::vector<uint32_t> all(t.num_rows());
+  std::iota(all.begin(), all.end(), 0u);
+  t.DeleteRows(all);
+  EXPECT_TRUE(t.GetEdits().changed.empty());
+  EXPECT_EQ(t.GetEdits().dropped.size(), 130u);
+}
+
+TEST(TableTrackingTest, SchemaChangesChangeEveryRow) {
+  for (int change = 0; change < 2; ++change) {
+    Table t = TrackedTable(5);
+    t.StampCheckout();
+    t.SetRow(1, t.GetRow(1));
+    if (change == 0) {
+      ASSERT_TRUE(t.AddColumn({"extra", ValueType::kDouble}).ok());
+      EXPECT_TRUE(t.AddColumn({"extra", ValueType::kDouble}).IsAlreadyExists());
+    } else {
+      ASSERT_TRUE(t.WidenColumn(2, ValueType::kInt64).ok());  // no-op
+      EXPECT_EQ(t.GetEdits().changed, std::vector<uint32_t>{1});
+      ASSERT_TRUE(t.WidenColumn(2, ValueType::kDouble).ok());
+    }
+    const Table::Edits edits = t.GetEdits();
+    EXPECT_EQ(edits.changed, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(edits.dropped, (std::vector<int64_t>{100, 103, 106, 109, 112}));
+  }
+}
+
+TEST(TableTrackingTest, ChangedRowRepeatingACleanRidChangesThatRow) {
+  Table t = TrackedTable(6);
+  t.StampCheckout();
+  t.SortByIntColumn(2);  // n = i % 7: the order stays, the bits follow
+  Row row = t.GetRow(4);
+  t.AppendRowUnchecked(row);  // rid 112 twice
+  row[0] = Value(int64_t{5000});  // a rid the checkout never held
+  t.AppendRowUnchecked(row);
+  const Table::Edits edits = t.GetEdits();
+  EXPECT_EQ(edits.changed, (std::vector<uint32_t>{4, 6, 7}));
+  EXPECT_EQ(edits.dropped, std::vector<int64_t>{112});
+}
+
+// Random in-place scripts against a model that knows each row only by its
+// serial: a row is clean iff it still holds a serial it was checked out
+// with and no schema change happened; the dropped rids are the checkout
+// rids whose serial no clean row holds.
+TEST(TableTrackingTest, RandomScriptsMatchTheSerialModel) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xorshift rng(seed);
+    const size_t n = rng.Uniform(150);
+    Table t = TrackedTable(n);
+    t.StampCheckout();
+    int64_t next_serial = static_cast<int64_t>(n);
+    bool schema_changed = false;
+    for (int step = 0; step < 40; ++step) {
+      auto fresh_row = [&] {
+        const uint32_t any = static_cast<uint32_t>(rng.Uniform(t.num_rows() + 1));
+        Row row = any < t.num_rows() ? t.GetRow(any)
+                                     : Row(t.num_columns(), Value::Null());
+        row[0] = rng.Uniform(2) == 0 ? Value::Null()
+                                     : Value(int64_t{1000000} + next_serial);
+        row[1] = Value(next_serial++);
+        return row;
+      };
+      switch (rng.Uniform(8)) {
+        case 0:
+        case 1:
+          if (t.num_rows() > 0) {
+            const uint32_t r = static_cast<uint32_t>(rng.Uniform(t.num_rows()));
+            Row row = t.GetRow(r);
+            row[1] = Value(next_serial++);
+            if (rng.Uniform(3) == 0) row[0] = Value(int64_t{2000000} + step);
+            t.SetRow(r, row);
+          }
+          break;
+        case 2:
+        case 3: {
+          std::vector<uint32_t> doomed;
+          const uint64_t odds = rng.Uniform(4) == 0 ? 1 : 6;
+          for (uint32_t r = 0; r < t.num_rows(); ++r) {
+            if (rng.Uniform(odds) == 0) doomed.push_back(r);
+          }
+          t.DeleteRows(doomed);
+          break;
+        }
+        case 4:
+          ASSERT_TRUE(t.InsertRow(fresh_row()).ok());
+          break;
+        case 5: {
+          Table src("src", t.schema());
+          src.AppendRowUnchecked(fresh_row());
+          src.AppendRowUnchecked(fresh_row());
+          t.AppendFrom(src, {1, 0});
+          break;
+        }
+        case 6:
+          t.SortByIntColumn(
+              rng.Uniform(2) == 0 || t.column(2).type() != ValueType::kInt64
+                  ? 1
+                  : 2);
+          break;
+        case 7:
+          if (rng.Uniform(4) == 0) {
+            schema_changed = true;
+            if (t.schema().FindColumn("extra") < 0) {
+              ASSERT_TRUE(t.AddColumn({"extra", ValueType::kString}).ok());
+            } else {
+              ASSERT_TRUE(t.WidenColumn(2, ValueType::kDouble).ok());
+            }
+          }
+          break;
+      }
+    }
+    std::vector<uint32_t> changed;
+    std::vector<bool> clean_serial(n, false);
+    for (uint32_t r = 0; r < t.num_rows(); ++r) {
+      const int64_t serial = t.GetValue(r, 1).AsInt();
+      if (!schema_changed && serial < static_cast<int64_t>(n)) {
+        clean_serial[serial] = true;
+      } else {
+        changed.push_back(r);
+      }
+    }
+    std::vector<int64_t> dropped;
+    for (size_t i = 0; i < n; ++i) {
+      if (!clean_serial[i]) dropped.push_back(100 + 3 * int64_t(i));
+    }
+    const Table::Edits edits = t.GetEdits();
+    EXPECT_EQ(edits.changed, changed);
+    EXPECT_EQ(edits.dropped, dropped);
+  }
+}
+
 
 class JoinTest : public ::testing::TestWithParam<JoinAlgorithm> {};
 

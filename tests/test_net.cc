@@ -860,10 +860,11 @@ TEST_F(NetTest, HostileChangesetsAreRefused) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-// The client holds one base per live (sid, table) checkout: re-checkouts
-// replace it, a landed commit or a closed session drops it, a refused
-// commit keeps it for a corrected retry.
-TEST_F(NetTest, ClientBasesStayBounded) {
+// A checkout stays committable until its commit lands: a refused commit
+// can be fixed and committed again; after a landed commit, a re-checkout
+// (even one that fails) or a closed session, committing it is NotFound;
+// and only the table the latest checkout of a name returned commits.
+TEST_F(NetTest, ClientCheckoutsLiveUntilCommitted) {
   ServerOptions options;
   options.listen = "unix:" + MakeTempDir() + "/sock";
   auto server = StartMemoryServer(options);
@@ -872,29 +873,31 @@ TEST_F(NetTest, ClientBasesStayBounded) {
   Client* c = client.ValueOrDie().get();
   const uint64_t sid = c->Open("t").ValueOrDie().sid;
 
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(c->Checkout(sid, {1}, "w").ok());
-    EXPECT_EQ(c->bases_held(), 1u);
-  }
+  Table first = c->Checkout(sid, {1}, "w").MoveValueOrDie();
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(c->Checkout(sid, {1}, "w").ok());
   Table w = c->Checkout(sid, {1}, "w").MoveValueOrDie();
+  AddRow(&first, 3, "stale");
+  EXPECT_TRUE(c->Commit(sid, first, "stale", "tester")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(c->Commit(sid, w.Clone("w"), "copy", "tester")
+                  .status()
+                  .IsInvalidArgument());
   AddRow(&w, 1, "duplicate key");
   auto refused = c->Commit(sid, w, "bad", "tester");
   EXPECT_TRUE(refused.status().IsConstraintViolation())
       << refused.status().ToString();
-  EXPECT_EQ(c->bases_held(), 1u);
   w.DeleteRows({static_cast<uint32_t>(w.num_rows() - 1)});
   AddRow(&w, 3, "gamma");
   ASSERT_TRUE(c->Commit(sid, w, "fixed", "tester").ok());
-  EXPECT_EQ(c->bases_held(), 0u);
   EXPECT_TRUE(c->Commit(sid, w, "again", "tester").status().IsNotFound());
 
-  ASSERT_TRUE(c->Checkout(sid, {1}, "a").ok());
-  ASSERT_TRUE(c->Checkout(sid, {2}, "b").ok());
-  EXPECT_EQ(c->bases_held(), 2u);
+  Table a = c->Checkout(sid, {1}, "a").MoveValueOrDie();
+  Table b = c->Checkout(sid, {2}, "b").MoveValueOrDie();
   EXPECT_FALSE(c->Checkout(sid, {99}, "b").ok());
-  EXPECT_EQ(c->bases_held(), 1u);
+  EXPECT_TRUE(c->Commit(sid, b, "replaced", "tester").status().IsNotFound());
   ORPHEUS_CHECK_OK(c->CloseSession(sid));
-  EXPECT_EQ(c->bases_held(), 0u);
+  EXPECT_TRUE(c->Commit(sid, a, "closed", "tester").status().IsNotFound());
   EXPECT_EQ(NumVersions(c), 2);
 }
 

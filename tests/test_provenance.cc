@@ -116,6 +116,62 @@ TEST(ExplanationTest, UnknownForMixedChanges) {
   EXPECT_EQ(ex.op, Operation::kUnknown);
 }
 
+// Rows compare typed: NULL is not the string "NULL", and doubles that
+// print alike under "%g" are different values.
+TEST(ExplanationTest, NullAndCloseDoublesAreChanges) {
+  const Schema schema({{"k", ValueType::kInt64},
+                       {"s", ValueType::kString},
+                       {"x", ValueType::kDouble}});
+  Table parent("p", schema);
+  parent.AppendRowUnchecked(
+      {Value(int64_t{1}), Value::Null(), Value(0.1234561)});
+  Table child("c", schema);
+  child.AppendRowUnchecked(
+      {Value(int64_t{1}), Value("NULL"), Value(0.1234562)});
+  Explanation ex = ExplainDerivation(parent, child, "k");
+  EXPECT_EQ(ex.op, Operation::kUpdate);
+  EXPECT_EQ(ex.rows_added, 1);
+  EXPECT_EQ(ex.rows_removed, 1);
+  EXPECT_EQ(ex.rows_modified, 1);
+  // Each cell change alone is a change too.
+  Table null_only("c", schema);
+  null_only.AppendRowUnchecked(
+      {Value(int64_t{1}), Value("NULL"), Value(0.1234561)});
+  EXPECT_EQ(ExplainDerivation(parent, null_only, "k").rows_modified, 1);
+  Table double_only("c", schema);
+  double_only.AppendRowUnchecked(
+      {Value(int64_t{1}), Value::Null(), Value(0.1234562)});
+  EXPECT_EQ(ExplainDerivation(parent, double_only, "k").rows_modified, 1);
+}
+
+// A widened column compares at the wider type: int 7 matches double 7.0,
+// on the rows and on the key.
+TEST(ExplanationTest, WidenedColumnsMatchTheirValues) {
+  Table parent("p", Schema({{"k", ValueType::kInt64},
+                            {"n", ValueType::kInt64}}));
+  Table child("c", Schema({{"k", ValueType::kDouble},
+                           {"n", ValueType::kDouble}}));
+  for (int64_t i = 0; i < 5; ++i) {
+    parent.AppendRowUnchecked({Value(i), i == 2 ? Value::Null() : Value(7 * i)});
+    child.AppendRowUnchecked({Value(static_cast<double>(i)),
+                              i == 2 ? Value::Null()
+                                     : Value(static_cast<double>(7 * i))});
+  }
+  Explanation same = ExplainDerivation(parent, child, "k");
+  EXPECT_EQ(same.op, Operation::kIdentity);
+  EXPECT_EQ(same.rows_added, 0);
+  EXPECT_EQ(same.rows_removed, 0);
+  // One value changed: the widened key still finds the row.
+  Row row = child.GetRow(3);
+  row[1] = Value(0.5);
+  child.SetRow(3, row);
+  Explanation updated = ExplainDerivation(parent, child, "k");
+  EXPECT_EQ(updated.op, Operation::kUpdate);
+  EXPECT_EQ(updated.rows_modified, 1);
+  // Coercion works in either direction.
+  EXPECT_EQ(ExplainDerivation(child, parent, "k").rows_modified, 1);
+}
+
 TEST(ExplanationTest, OperationNames) {
   EXPECT_STREQ(OperationName(Operation::kProjection), "projection");
   EXPECT_STREQ(OperationName(Operation::kUpdate), "update");

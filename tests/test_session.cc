@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -944,45 +945,82 @@ Value EditValue(ValueType type, Xorshift* rng) {
   }
 }
 
-/// Random edits of checkout `base` (column 0 `_rid`, key `id`): modifies,
-/// deletes, inserts with and without a `_rid`, reordered rows, a row with
-/// a stored rid from another version, and now and then a schema change
-/// (added, dropped or widened column, or reordered columns) or a
-/// delete-all. At most one edit repeats a key, so a key violation names
-/// one key on both commit paths.
-Table ChangesetEdits(const Table& base, const Table& prev,
-                     const std::vector<core::RecordId>& old, int64_t* next_id,
-                     Xorshift* rng) {
-  Table t = base.Clone(base.name());
-  const int id_col = t.schema().FindColumn("id");
+/// The client-side diff changeset commits were computed with before tables
+/// recorded their own edits, kept as the oracle of what a tracked commit may
+/// drop: the rids of checkout `base` (column 0 `_rid`) that no row of
+/// `table` still holds unchanged. A row keeps a rid only when it carries it,
+/// no earlier row kept it, and every cell KeyEquals that checkout row's; a
+/// table whose columns differ from the checkout's in more than order keeps
+/// none.
+std::vector<core::RecordId> DiffChangesetDeleted(const Table& base,
+                                                 const Table& table) {
+  const std::vector<int64_t>& base_rids = base.column(0).int_data();
+  const std::vector<int> order = table.schema().ColumnOrderIn(base.schema());
+  std::vector<bool> kept(base.num_rows(), false);
+  if (!order.empty() && order[0] == 0) {
+    std::unordered_map<int64_t, uint32_t> row_of_rid;
+    for (uint32_t b = 0; b < base.num_rows(); ++b) {
+      row_of_rid.emplace(base_rids[b], b);
+    }
+    const minidb::Column& rids = table.column(0);
+    for (uint32_t r = 0; r < table.num_rows(); ++r) {
+      if (rids.IsNull(r)) continue;
+      auto b = row_of_rid.find(rids.GetInt(r));
+      bool same = b != row_of_rid.end() && !kept[b->second];
+      for (size_t c = 1; same && c < table.num_columns(); ++c) {
+        same = table.column(c).KeyEquals(r, base.column(order[c]), b->second);
+      }
+      if (same) kept[b->second] = true;
+    }
+  }
+  std::vector<core::RecordId> deleted;
+  for (uint32_t b = 0; b < base.num_rows(); ++b) {
+    if (!kept[b]) deleted.push_back(base_rids[b]);
+  }
+  std::sort(deleted.begin(), deleted.end());
+  return deleted;
+}
+
+/// Random in-place edits of the stamped checkout `t` (column 0 `_rid`, key
+/// `id`) through the mutators alone: modifies (some to identical values),
+/// stale rids swapped in, deletes, appends with no rid, a checkout rid or
+/// a rid never stored, a duplicated row or a row of the previous checkout,
+/// re-clustering, and now and then an added or widened column or a
+/// delete-all. At most one edit repeats a key, so a key violation names one
+/// key on both commit paths.
+void TrackedEdits(Table* t, const Table& prev,
+                  const std::vector<core::RecordId>& old, int64_t* next_id,
+                  Xorshift* rng) {
+  const Table base = t->Clone(t->name());
+  const int id_col = t->schema().FindColumn("id");
   auto edit_cell = [&](minidb::Row* row) {
-    const size_t c = 2 + rng->Uniform(t.num_columns() - 2);
+    const size_t c = 2 + rng->Uniform(t->num_columns() - 2);
     if (static_cast<int>(c) != id_col) {
-      (*row)[c] = EditValue(t.schema().column(c).type, rng);
+      (*row)[c] = EditValue(t->schema().column(c).type, rng);
     }
   };
-  // Modify, and swap in stale rids.
-  for (uint32_t r = 0; r < t.num_rows(); ++r) {
-    const uint64_t dice = rng->Uniform(10);
-    if (dice > 1) continue;
-    minidb::Row row = t.GetRow(r);
+  // Modify, set to identical values, and swap in stale rids.
+  for (uint32_t r = 0; r < t->num_rows(); ++r) {
+    const uint64_t dice = rng->Uniform(12);
+    if (dice > 2) continue;
+    minidb::Row row = t->GetRow(r);
     if (dice == 0) edit_cell(&row);
     if (dice == 1 && !old.empty()) {
       row[0] = Value(old[rng->Uniform(old.size())]);
     }
-    t.SetRow(r, row);
+    t->SetRow(r, row);
   }
   // Delete.
   std::vector<uint32_t> doomed;
-  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+  for (uint32_t r = 0; r < t->num_rows(); ++r) {
     if (rng->Uniform(8) == 0) doomed.push_back(r);
   }
-  t.DeleteRows(doomed);
-  // Insert: no rid, a deleted base rid, or a rid never stored.
+  t->DeleteRows(doomed);
+  // Append: no rid, a checkout rid, or a rid never stored.
   const uint64_t inserts = rng->Uniform(3);
-  for (uint64_t i = 0; i < inserts && t.num_rows() > 0; ++i) {
+  for (uint64_t i = 0; i < inserts && t->num_rows() > 0; ++i) {
     minidb::Row row =
-        t.GetRow(static_cast<uint32_t>(rng->Uniform(t.num_rows())));
+        t->GetRow(static_cast<uint32_t>(rng->Uniform(t->num_rows())));
     const uint64_t kind = rng->Uniform(3);
     row[0] = kind == 0 ? Value::Null()
              : kind == 1 ? base.GetValue(static_cast<uint32_t>(
@@ -991,70 +1029,46 @@ Table ChangesetEdits(const Table& base, const Table& prev,
                          : Value(int64_t{1} << 40);
     row[id_col] = Value((*next_id)++);
     edit_cell(&row);
-    t.AppendRowUnchecked(row);
+    t->AppendRowUnchecked(row);
   }
   // At most one repeated key: a duplicated row (same rid, or none), or a
   // row of the previous checkout, rid and all (a stored record of another
   // version, kept when its payload still matches).
   const uint64_t repeat = rng->Uniform(7);
-  if (repeat < 2 && t.num_rows() > 0) {
+  if (repeat < 2 && t->num_rows() > 0) {
     minidb::Row row =
-        t.GetRow(static_cast<uint32_t>(rng->Uniform(t.num_rows())));
+        t->GetRow(static_cast<uint32_t>(rng->Uniform(t->num_rows())));
     if (repeat == 1) row[0] = Value::Null();
-    t.AppendRowUnchecked(row);
+    t->AppendRowUnchecked(row);
   } else if (repeat == 2 && prev.num_rows() > 0) {
-    const Table aligned = WithColumns(prev, t.schema().columns());
-    t.AppendRowUnchecked(aligned.GetRow(
+    const Table aligned = WithColumns(prev, t->schema().columns());
+    t->AppendRowUnchecked(aligned.GetRow(
         static_cast<uint32_t>(rng->Uniform(aligned.num_rows()))));
   }
-  // Reordered rows.
-  if (rng->Uniform(3) == 0) {
-    std::vector<uint32_t> order(t.num_rows());
-    for (uint32_t r = 0; r < order.size(); ++r) order[r] = r;
-    for (size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng->Uniform(i)]);
-    }
-    t = t.CopyRows(order, t.name());
-  }
+  if (rng->Uniform(3) == 0) t->SortByIntColumn(id_col);
   // Schema changes.
-  std::vector<minidb::ColumnDef> cols = t.schema().columns();
-  switch (rng->Uniform(16)) {
-    case 0:
-      t.DeleteRows([&] {
-        std::vector<uint32_t> all(t.num_rows());
-        for (uint32_t r = 0; r < all.size(); ++r) all[r] = r;
-        return all;
-      }());
+  switch (rng->Uniform(12)) {
+    case 0: {
+      std::vector<uint32_t> all(t->num_rows());
+      std::iota(all.begin(), all.end(), 0u);
+      t->DeleteRows(all);
       break;
+    }
     case 1:
-      if (t.schema().FindColumn("note") < 0) {
-        cols.push_back({"note", ValueType::kString});
-        t = WithColumns(t, cols);
+      if (t->schema().FindColumn("note") < 0) {
+        ORPHEUS_CHECK_OK(t->AddColumn({"note", ValueType::kString}));
       }
       break;
-    case 2:
-      if (t.schema().FindColumn("score") >= 0) {
-        cols.erase(cols.begin() + t.schema().FindColumn("score"));
-        t = WithColumns(t, cols);
-      }
-      break;
-    case 3: {
-      const int c = t.schema().FindColumn("count");
-      if (c >= 0 && cols[c].type == ValueType::kInt64) {
-        cols[c].type = ValueType::kDouble;
-        t = WithColumns(t, cols);
+    case 2: {
+      const int c = t->schema().FindColumn("count");
+      if (t->schema().column(c).type == ValueType::kInt64) {
+        ORPHEUS_CHECK_OK(t->WidenColumn(c, ValueType::kDouble));
       }
       break;
     }
-    case 4:
-    case 5:
-      std::reverse(cols.begin() + 1, cols.end());
-      t = WithColumns(t, cols);
-      break;
     default:
       break;
   }
-  return t;
 }
 
 struct ChangesetTally {
@@ -1062,11 +1076,13 @@ struct ChangesetTally {
   int violations = 0;
   int partial = 0;  // shipped fewer rows than the table holds
   int whole = 0;    // a schema change shipped every row
+  int same = 0;     // dropped a rid the oracle keeps (identical values)
 };
 
 /// Seeded history on two identical CVDs: every round checks out the
-/// latest version, edits it, and commits it whole to `full` and as a
-/// changeset (DiffChangeset, then the carried rest) to `delta`.
+/// latest version as a stamped table, edits it in place, and commits it
+/// whole to `full` and as its recorded edits (the changed rows, with the
+/// checkout's other records carried) to `delta`.
 void RunChangesetHistory(core::DataModelType model, bool with_pk,
                          uint64_t seed, ChangesetTally* tally) {
   core::Cvd::Options opts;
@@ -1092,18 +1108,20 @@ void RunChangesetHistory(core::DataModelType model, bool with_pk,
     const VersionId latest = delta->latest();
     auto base = delta->Materialize({latest}, "t");
     ASSERT_TRUE(base.ok()) << base.status().ToString();
-    const Table edited = ChangesetEdits(*base, prev, old, &next_id, &rng);
+    Table edited = base->Clone("t");
+    edited.StampCheckout();
+    TrackedEdits(&edited, prev, old, &next_id, &rng);
 
     const LoggedCommit oracle = CommitAndLog(full.get(), edited, latest, {});
-    const net::Changeset changeset = net::DiffChangeset(*base, edited);
+    const Table::Edits edits = edited.GetEdits();
     const std::vector<int64_t>& ids = base->column(0).int_data();
     std::vector<core::RecordId> checkout(ids.begin(), ids.end());
     std::sort(checkout.begin(), checkout.end());
     std::vector<core::RecordId> carried;
     std::set_difference(checkout.begin(), checkout.end(),
-                        changeset.deleted.begin(), changeset.deleted.end(),
+                        edits.dropped.begin(), edits.dropped.end(),
                         std::back_inserter(carried));
-    const Table& shipped = changeset.Rows(edited);
+    const Table shipped = edited.CopyRows(edits.changed, "t");
     const LoggedCommit got =
         CommitAndLog(delta.get(), shipped, latest, carried);
 
@@ -1111,6 +1129,14 @@ void RunChangesetHistory(core::DataModelType model, bool with_pk,
     ASSERT_TRUE(oracle.record == got.record)
         << "commit records differ (" << oracle.record.size() << " vs "
         << got.record.size() << " bytes)";
+    // Every rid the diff oracle deletes is dropped; the tracked edits may
+    // also drop a rid whose row was set to values equal to its checkout
+    // row's (which the oracle keeps).
+    const std::vector<core::RecordId> deleted =
+        DiffChangesetDeleted(*base, edited);
+    ASSERT_TRUE(std::includes(edits.dropped.begin(), edits.dropped.end(),
+                              deleted.begin(), deleted.end()));
+    if (edits.dropped.size() > deleted.size()) ++tally->same;
     if (!got.status.ok()) {
       ASSERT_TRUE(got.status.IsConstraintViolation())
           << got.status.ToString();
@@ -1146,6 +1172,7 @@ TEST_P(ChangesetDifferentialTest, MatchesFullTableCommit) {
     EXPECT_GT(tally.committed, 0);
     EXPECT_GT(tally.partial, 0);
     EXPECT_GT(tally.whole, 0);
+    EXPECT_GT(tally.same, 0);
     if (with_pk) {
       EXPECT_GT(tally.violations, 0);
     }
@@ -1217,8 +1244,8 @@ TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
       const uint64_t copied_before = copied.value();
       const uint64_t materialized_before = materialized.value();
       Table t = client->Checkout(sid, {latest}, "t").MoveValueOrDie();
-      // The reply is gathered from the shared table and the client keeps
-      // its bytes as the base: no row is copied on either side.
+      // The reply is gathered from the shared table and the client only
+      // stamps it: no row is copied on either side.
       EXPECT_EQ(copied.value() - copied_before, 0u);
       EXPECT_EQ(materialized.value() - materialized_before,
                 static_cast<uint64_t>(n));
@@ -1234,7 +1261,6 @@ TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
                   shipped.value() - before.shipped,
                   carried.value() - before.carried};
     }
-    EXPECT_EQ(client->bases_held(), 0u);
     EXPECT_EQ(work.carried, static_cast<uint64_t>(n - 1));
     server->Stop();
     return work;
@@ -1252,6 +1278,163 @@ TEST_F(SessionTest, ChangesetCommitWorkIsIndependentOfTableSize) {
   EXPECT_EQ(small.indexed, large.indexed);
   EXPECT_EQ(small.shipped, large.shipped);
 }
+
+// A local commit of one edited row — Session::Commit and Cvd::Commit —
+// scans that row alone, at 100 and at 10,000 rows.
+TEST_F(SessionTest, LocalCommitWorkIsIndependentOfTableSize) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  Counter& scanned = metrics.counter("cvd.commit.rows_scanned");
+  Counter& probes = metrics.counter("cvd.commit.key_index.probes");
+  Counter& fresh = metrics.counter("cvd.commit.records_new");
+  struct Work {
+    uint64_t scanned = 0, probes = 0, fresh = 0;
+  };
+  // Two commits of one edited row each; the work of the second, which
+  // runs against the key index the first one built.
+  auto commit_work = [&](int64_t n, bool through_session) {
+    std::vector<std::pair<int64_t, std::string>> rows;
+    for (int64_t id = 1; id <= n; ++id) rows.emplace_back(id, "r");
+    std::unique_ptr<core::Cvd> owned = MakeCvd(rows, PkOptions());
+    minidb::Database staging;
+    std::unique_ptr<SessionManager> manager;
+    std::unique_ptr<Session> session;
+    if (through_session) {
+      manager = std::make_unique<SessionManager>(std::move(owned), nullptr);
+      session = manager->Open();
+    }
+    Work work;
+    for (const char* name : {"edit-a", "edit-b"}) {
+      Table* t = nullptr;
+      if (through_session) {
+        ORPHEUS_CHECK_OK(session->Refresh());
+        ORPHEUS_CHECK_OK(session->Checkout({session->watermark()}, "t"));
+        t = session->table("t");
+      } else {
+        ORPHEUS_CHECK_OK(owned->Checkout({owned->latest()}, "t", &staging));
+        t = staging.GetTable("t");
+      }
+      EXPECT_EQ(t->num_rows(), static_cast<size_t>(n));
+      SetName(t, 7, name);
+      const Work before{scanned.value(), probes.value(), fresh.value()};
+      if (through_session) {
+        ORPHEUS_CHECK_OK(session->Commit("t", "edit").status());
+      } else {
+        ORPHEUS_CHECK_OK(owned->Commit("t", &staging, "edit").status());
+      }
+      work = Work{scanned.value() - before.scanned,
+                  probes.value() - before.probes, fresh.value() - before.fresh};
+    }
+    return work;
+  };
+  for (bool through_session : {true, false}) {
+    SCOPED_TRACE(through_session ? "Session::Commit" : "Cvd::Commit");
+    const Work small = commit_work(100, through_session);
+    const Work large = commit_work(10000, through_session);
+    EXPECT_EQ(small.scanned, 1u);
+    EXPECT_EQ(small.probes, 1u);
+    EXPECT_EQ(small.fresh, 1u);
+    EXPECT_EQ(small.scanned, large.scanned);
+    EXPECT_EQ(small.probes, large.probes);
+    EXPECT_EQ(small.fresh, large.fresh);
+  }
+}
+
+// A row holding NaN that a commit leaves as it was keeps its record on
+// every commit path: untouched, set to the same values, or (Cvd::Commit
+// of a restaged table) shipped whole.
+class UnchangedNanTest
+    : public SessionTest,
+      public ::testing::WithParamInterface<core::DataModelType> {};
+
+TEST_P(UnchangedNanTest, KeepsEveryRecord) {
+  if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
+  Counter& fresh = MetricsRegistry::Global().counter("cvd.commit.records_new");
+  Table seed("seed", Schema({{"id", ValueType::kInt64},
+                             {"x", ValueType::kDouble}}));
+  for (const auto& [id, x] : std::vector<std::pair<int64_t, double>>{
+           {0, 0.0}, {1, 1.5}, {2, std::nan("")}, {3, 4.5}}) {
+    ORPHEUS_CHECK_OK(seed.InsertRow({Value(id), Value(x)}));
+  }
+  core::Cvd::Options opts;
+  opts.model = GetParam();
+  opts.primary_key = {"id"};
+  std::unique_ptr<core::Cvd> cvd =
+      core::Cvd::Init("t", seed, opts).MoveValueOrDie();
+  const std::vector<core::RecordId> rids =
+      cvd->VersionRecords(1).MoveValueOrDie();
+  // Sets every row of `t` to the values it holds.
+  auto touch_all = [](Table* t) {
+    for (uint32_t r = 0; r < t->num_rows(); ++r) t->SetRow(r, t->GetRow(r));
+  };
+  auto expect_kept = [&](const core::Cvd& c, const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(c.VersionRecords(c.latest()).MoveValueOrDie(), rids);
+  };
+  const uint64_t fresh_before = fresh.value();
+
+  minidb::Database staging;
+  for (int edit = 0; edit < 3; ++edit) {
+    ORPHEUS_CHECK_OK(cvd->Checkout({cvd->latest()}, "w", &staging));
+    Table* w = staging.GetTable("w");
+    if (edit == 1) touch_all(w);
+    if (edit == 2) {
+      // A table restaged under the checkout's name commits whole.
+      Table restaged = w->Clone("w");
+      ORPHEUS_CHECK_OK(staging.DropTable("w"));
+      ORPHEUS_CHECK_OK(staging.AdoptTable(std::move(restaged)).status());
+    }
+    ORPHEUS_CHECK_OK(cvd->Commit("w", &staging, "unchanged").status());
+    expect_kept(*cvd, "Cvd::Commit");
+  }
+
+  std::vector<std::unique_ptr<core::Cvd>> served;
+  {
+    SessionManager manager(std::move(cvd), nullptr);
+    auto session = manager.Open();
+    for (int edit = 0; edit < 2; ++edit) {
+      ORPHEUS_CHECK_OK(session->Checkout({session->watermark()}, "w"));
+      if (edit == 1) touch_all(session->table("w"));
+      ORPHEUS_CHECK_OK(session->Commit("w", "unchanged").status());
+    }
+    session.reset();
+    served.push_back(manager.Release());
+    expect_kept(*served.back(), "Session::Commit");
+  }
+
+  net::ServerOptions options;
+  options.listen = "unix:" + MakeTempDir() + "/sock";
+  auto server = net::SessionServer::Start(nullptr, std::move(served), options)
+                    .MoveValueOrDie();
+  auto client = net::Client::Connect(server->address()).MoveValueOrDie();
+  const uint64_t sid = client->Open("t").MoveValueOrDie().sid;
+  for (int edit = 0; edit < 2; ++edit) {
+    const VersionId latest = client->Refresh(sid).MoveValueOrDie();
+    Table t = client->Checkout(sid, {latest}, "w").MoveValueOrDie();
+    if (edit == 1) touch_all(&t);
+    ORPHEUS_CHECK_OK(client->Commit(sid, t, "unchanged").status());
+  }
+  ORPHEUS_CHECK_OK(server->manager("t")->ReadCvd([&](const core::Cvd& c) {
+    EXPECT_EQ(c.num_versions(), 8);
+    expect_kept(c, "remote commit");
+    return Status::OK();
+  }));
+  server->Stop();
+  EXPECT_EQ(fresh.value() - fresh_before, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, UnchangedNanTest,
+    ::testing::Values(core::DataModelType::kATablePerVersion,
+                      core::DataModelType::kCombinedTable,
+                      core::DataModelType::kSplitByVlist,
+                      core::DataModelType::kSplitByRlist,
+                      core::DataModelType::kDeltaBased),
+    [](const ::testing::TestParamInfo<core::DataModelType>& info) {
+      std::string name = core::DataModelTypeName(info.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST_F(SessionTest, RemoteCheckoutWorkFollowsTheVersionNotTheTable) {
   if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
@@ -1466,6 +1649,24 @@ void RunApiDifferential(uint64_t seed, DifferentialTally* tally) {
     EXPECT_EQ(SortedConflicts(a->conflicts), SortedConflicts(b->conflicts));
     if (a->reconciled) ++tally->reconciled;
     if (!a->conflicts.empty()) ++tally->conflicted;
+  }
+
+  // A table that is not the session's checkout of its name is refused
+  // alike, and commits nothing: one from an earlier checkout of the name,
+  // or a copy of the current one.
+  for (int side = 0; side < 2; ++side) {
+    SessionApi* api = apis[side];
+    const VersionId watermark = api->Refresh(sids[0]).MoveValueOrDie();
+    Table stale = api->Checkout(sids[0], {1}, "stale").MoveValueOrDie();
+    Table current = api->Checkout(sids[0], {1}, "stale").MoveValueOrDie();
+    EXPECT_TRUE(
+        api->Commit(sids[0], stale, "stale").status().IsInvalidArgument());
+    EXPECT_TRUE(api->Commit(sids[0], current.Clone("stale"), "copy")
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_EQ(api->Refresh(sids[0]).MoveValueOrDie(), watermark);
+    // The checkout's own table still commits.
+    EXPECT_TRUE(api->Commit(sids[0], current, "current").ok());
   }
 
   auto la = apis[0]->Ls();
